@@ -62,9 +62,9 @@ bench-check:
 
 # profile runs a small single-figure campaign under the CPU and blocking
 # profilers and leaves cpu.pprof/block.pprof in /tmp for `go tool pprof`.
-# The blocking profile is the one that matters for dispatch work: time
-# parked in channel operations is invisible to the CPU profile. See
-# EXPERIMENTS.md ("Profiling the engine") for how to read the output.
+# Engine dispatch shows in the CPU profile as runtime.coroswitch; the
+# blocking profile covers the runner's waits. See EXPERIMENTS.md
+# ("Profiling the engine") for how to read the output.
 profile:
 	go run ./cmd/paperbench -only fig2 -apps fir -scale small -q \
 		-cpuprofile /tmp/paperbench-cpu.pprof -blockprofile /tmp/paperbench-block.pprof

@@ -96,7 +96,6 @@ type manifestRun struct {
 	bench.Record
 	WallFS       uint64  `json:"wall_fs"`
 	FastPathRate float64 `json:"fastpath_rate"`
-	HandoffRate  float64 `json:"handoff_rate"`
 	InlineRate   float64 `json:"inline_rate"`
 }
 
@@ -154,7 +153,6 @@ func (m *manifestWriter) record(rec bench.Record) {
 	if rec.Report != nil {
 		run.WallFS = uint64(rec.Report.Wall)
 		run.FastPathRate = rec.Report.Engine.FastPathRate()
-		run.HandoffRate = rec.Report.Engine.HandoffRate()
 		run.InlineRate = rec.Report.Engine.InlineRate()
 	}
 	m.mu.Lock()

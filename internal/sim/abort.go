@@ -9,9 +9,10 @@ import (
 // This file is the engine's failure surface: every way a run can die is
 // a typed panic value carrying an EngineState snapshot, so the run layer
 // (internal/bench) can recover it into a structured job record instead
-// of losing the process. The types panic out of Run on the driving
-// goroutine only — task-goroutine panics are forwarded there first by
-// the Spawn wrapper — which is what makes recovery in one place sound.
+// of losing the process. The types panic out of Run's dispatch loop
+// only — a coroutine body's panic is recovered by the Spawn wrapper and
+// raised by the loop once the coroutine has returned — which is what
+// makes recovery in one place sound.
 
 // TaskState is one task's entry in a diagnostic snapshot.
 type TaskState struct {
@@ -48,7 +49,7 @@ type EngineState struct {
 	EventsRecorded uint64        `json:"events_recorded,omitempty"`
 }
 
-// snapshotState captures the domain. Engine-goroutine only (it reads
+// snapshotState captures the domain. Dispatch loop only (it reads
 // scheduling state without locks).
 func (e *Engine) snapshotState() EngineState {
 	st := EngineState{Now: e.now, HeapDepth: e.queue.len(), Live: e.live, Metrics: e.met}
@@ -136,9 +137,9 @@ func (a *AbortError) Error() string {
 }
 func (a *AbortError) EngineState() EngineState { return a.State }
 
-// TaskPanicError wraps a panic raised by model or workload code on a
-// task goroutine. The Spawn wrapper catches it and forwards it to the
-// engine goroutine, which re-panics with this value out of Run — so a
+// TaskPanicError wraps a panic raised by model or workload code in a
+// task body. The Spawn wrapper (or runStep, for an inline task) catches
+// it, and the dispatch loop re-panics with this value out of Run — so a
 // panic anywhere in a simulation surfaces at exactly one place.
 type TaskPanicError struct {
 	TaskName string
@@ -171,7 +172,7 @@ func (e *Engine) Abort(reason string) {
 	e.abortFlag.Store(true)
 }
 
-// abortError builds the typed abort panic value. Engine goroutine only.
+// abortError builds the typed abort panic value. Dispatch loop only.
 func (e *Engine) abortError() *AbortError {
 	e.abortMu.Lock()
 	reason := e.abortReason
@@ -179,36 +180,30 @@ func (e *Engine) abortError() *AbortError {
 	return &AbortError{Reason: reason, State: e.snapshotState()}
 }
 
-// taskAbortSignal is the sentinel panicked through a parked task during
-// Shutdown so its goroutine unwinds without running model code.
+// taskAbortSignal is the sentinel panicked through a suspended coroutine
+// during Shutdown so its body unwinds without running model code.
 type taskAbortSignal struct{}
 
-// Shutdown drains the task goroutines left parked after Run panicked:
-// each is resumed once, immediately unwinds via a sentinel panic caught
-// in its Spawn wrapper, and acknowledges before the next is woken. Call
-// it exactly once, from the goroutine that recovered Run's panic, before
-// dropping the Engine — without it every failed simulation would leak
-// one parked goroutine per unfinished task. Safe to call when Run
-// completed normally (every task done) or never started; both are
-// no-ops for the respective tasks.
+// Shutdown unwinds the coroutines left suspended after Run panicked:
+// stop makes each one's pending yield return false, and the body unwinds
+// via the sentinel panic caught in its Spawn wrapper. Call it exactly
+// once, from the goroutine that recovered Run's panic, before dropping
+// the Engine — without it every failed simulation would leak one
+// suspended goroutine per unfinished task. Safe to call when Run
+// completed normally (every task done) or never started (stop on a
+// coroutine that never ran just discards it).
 func (e *Engine) Shutdown() {
 	if e.drained {
 		return
 	}
 	e.drained = true
-	e.draining = true
 	for _, t := range e.tasks {
 		if t.done {
 			continue
 		}
-		if t.inline != nil {
-			// Inline tasks have no goroutine to unwind; just retire them.
-			t.done = true
-			e.live--
-			continue
+		if t.stop != nil {
+			t.stop()
 		}
-		t.resume <- struct{}{} // parked in pause(); unwinds via taskAbortSignal
-		<-e.sched              // its wrapper's acknowledgement
 		t.done = true
 		e.live--
 	}

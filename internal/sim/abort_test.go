@@ -97,14 +97,13 @@ func TestAbortCancelsFastPathLoop(t *testing.T) {
 	}
 }
 
-// TestAbortLandsMidHandoff is the handoff-dispatch regression: a
-// watchdog Abort that arrives while tasks are resuming each other
-// directly — the engine goroutine parked the whole time — must still
-// cancel the run with a typed *AbortError and a coherent EngineState
-// snapshot, because every handoff polls the abort flag and routes the
-// yield back through the engine handshake when it is set. The tasks
-// run in lockstep so every Sync is a slow-path dispatch (all handoffs
-// until the abort lands).
+// TestAbortLandsMidHandoff is the slow-path dispatch regression (named
+// for the task-to-task handoff the loop replaced): a watchdog Abort that
+// arrives while lockstep coroutines yield to the dispatch loop on every
+// Sync must cancel the run with a typed *AbortError and a coherent
+// EngineState snapshot. The loop polls the abort flag before each pop,
+// so the yielding task — held as the loop's carry — must be accounted
+// for as runnable, not lost between the yield and the pop.
 func TestAbortLandsMidHandoff(t *testing.T) {
 	e := NewEngine()
 	started := make(chan struct{})
@@ -125,18 +124,18 @@ func TestAbortLandsMidHandoff(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- recoverRunError(e) }()
 	<-started
-	e.Abort("watchdog: handoff loop stalled")
+	e.Abort("watchdog: dispatch loop stalled")
 	var err error
 	select {
 	case err = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("abort did not cancel the handoff loop")
+		t.Fatal("abort did not cancel the dispatch loop")
 	}
 	ae, ok := err.(*AbortError)
 	if !ok {
 		t.Fatalf("Run error = %#v, want *AbortError", err)
 	}
-	if ae.Reason != "watchdog: handoff loop stalled" {
+	if ae.Reason != "watchdog: dispatch loop stalled" {
 		t.Fatalf("abort reason = %q", ae.Reason)
 	}
 	st := ae.EngineState()
@@ -144,16 +143,20 @@ func TestAbortLandsMidHandoff(t *testing.T) {
 		t.Fatalf("snapshot = %+v, want %d live tasks", st, tasks)
 	}
 	// The snapshot must be internally consistent even though the abort
-	// interrupted a task-to-task dispatch chain: every task is accounted
-	// for as runnable (parked mid-yield) — none can be "running" or
-	// "done" — and the handoff counter proves the chain was active.
+	// interrupted a run of slow-path dispatches: every task is accounted
+	// for as runnable (suspended mid-yield, queued or carried) — none can
+	// be "running" or "done" — and the loop's counters prove the slow
+	// path was active.
 	for _, ts := range st.Tasks {
 		if ts.State != "runnable" {
 			t.Fatalf("task %s state = %q after abort, want runnable (%+v)", ts.Name, ts.State, st.Tasks)
 		}
 	}
-	if st.Metrics.Handoffs == 0 {
-		t.Fatalf("abort landed but no handoffs were counted: %+v", st.Metrics)
+	if st.HeapDepth != tasks {
+		t.Fatalf("heap depth %d after abort, want all %d tasks queued", st.HeapDepth, tasks)
+	}
+	if st.Metrics.SyncSlow == 0 || st.Metrics.Dispatches <= tasks || st.Metrics.Handoffs != 0 {
+		t.Fatalf("abort landed without slow-path dispatches by the loop: %+v", st.Metrics)
 	}
 }
 
@@ -185,9 +188,9 @@ func TestAbortAfterRunIsNoOp(t *testing.T) {
 	}
 }
 
-// TestTaskPanicForwarded proves a panic in model code on a task
-// goroutine surfaces as a typed *TaskPanicError out of Run — on the
-// driving goroutine — naming the task and carrying its stack.
+// TestTaskPanicForwarded proves a panic in model code in a coroutine
+// body surfaces as a typed *TaskPanicError out of Run — on the driving
+// goroutine — naming the task and carrying its stack.
 func TestTaskPanicForwarded(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("victim", 0, func(tk *Task) {
@@ -246,9 +249,9 @@ func TestLivelockTypedError(t *testing.T) {
 }
 
 // TestShutdownDrainsParkedGoroutines proves a failed run leaks no task
-// goroutines once Shutdown has drained them — channel-parked goroutines
-// are never garbage collected, so without the drain every failed job in
-// a long campaign would pin its tasks forever.
+// goroutines once Shutdown has stopped them — a suspended coroutine's
+// goroutine is never garbage collected, so without the drain every
+// failed job in a long campaign would pin its tasks forever.
 func TestShutdownDrainsParkedGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {

@@ -2,133 +2,100 @@ package sim
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
 // Engine is a conservative discrete-event engine. Every simulated agent
 // (a processor core, a DMA engine, a scheduling thread) is a Task: either
-// backed by its own goroutine (Spawn) or an inline state machine stepped
-// by the dispatcher itself (SpawnInline; see inline.go). Exactly one
-// goroutine — the engine or a single task — runs at a time, so model code
-// needs no locking. The engine always resumes the runnable task with the
-// smallest local time, which keeps mutations of shared model state
-// (caches, resource servers) ordered by timestamp.
+// a coroutine (Spawn; see coro.go) or an inline state machine stepped
+// as a plain function call (SpawnInline; see inline.go). One dispatch
+// loop in Run pops the runnable task with the smallest (time, id) and
+// either steps it or resumes its coroutine until the task yields back,
+// which keeps mutations of shared model state (caches, resource
+// servers) ordered by timestamp.
 //
 // Concurrency contract: an Engine and its Tasks form one isolated
-// scheduling domain driven by the single goroutine that calls Run — the
-// handshake on sched/resume guarantees at most one goroutine of the
-// domain executes at a time, so within a domain model code is
-// effectively single-threaded. An Engine owns no process-global state,
-// so any number of independent Engines may Run concurrently from
-// different goroutines (the experiment runner in internal/bench relies
-// on this); what is forbidden is sharing one Engine, Task, or any model
-// object across domains. Run enforces the one-driver rule with an
-// atomic guard so a violation fails loudly rather than racing.
+// scheduling domain driven by the single goroutine that calls Run. A
+// coroutine runs only between the loop's next call and its own yield,
+// and the loop is suspended in next meanwhile, so exactly one body of
+// the domain executes at a time and model code needs no locking. An
+// Engine owns no process-global state, so any number of independent
+// Engines may Run concurrently from different goroutines (the
+// experiment runner in internal/bench relies on this); what is
+// forbidden is sharing one Engine, Task, or any model object across
+// domains. Run enforces the one-driver rule with an atomic guard so a
+// violation fails loudly rather than racing.
 //
 // Fast-path invariant: Sync exists so that a task yields before touching
 // shared state and resumes only once it is the globally minimal runnable
-// task under the engine's (time, id) order. The engine, however, would
-// dispatch the yielding task t immediately — without running anything
-// else — exactly when t already precedes every queued task under that
-// order (blocked tasks cannot become runnable meanwhile: only the single
-// running task could unblock them, and that is t itself). In that case
-// the handshake is a provable no-op, so Sync skips it: it compares t
-// against the scheduler heap's minimum and, if t wins (strictly earlier
-// time, or equal time and smaller spawn id), keeps running after
+// task under the engine's (time, id) order. The dispatch loop, however,
+// would resume the yielding task t immediately — without running
+// anything else — exactly when t already precedes every queued task
+// under that order (blocked tasks cannot become runnable meanwhile: only
+// the single running task could unblock them, and that is t itself). In
+// that case the yield is a provable no-op, so Sync skips it: it compares
+// t against the scheduler heap's minimum and, if t wins (strictly
+// earlier time, or equal time and smaller spawn id), keeps running after
 // updating the engine clock to t's time. Because the skip condition is
-// precisely "the engine's next pop would return t", the sequence of
+// precisely "the loop's next pop would return t", the sequence of
 // task-at-time steps — and therefore every simulated timestamp — is
 // identical with the fast path on or off; TestFastPathScheduleEquivalence
-// checks this on randomized schedules.
+// checks this on randomized schedules. The fast path declines when the
+// task has passed MaxTime so the livelock safety net still trips inside
+// Run.
 //
-// Handoff invariant: when the fast path declines because a queued task
-// precedes the yielder, the engine goroutine would do nothing but pop
-// that task and resume it — so the yielding task does it instead
-// (direct task-to-task handoff): it swaps itself into the scheduler
-// heap for the minimum in one sift (taskHeap.replaceMin), advances the
-// engine clock exactly as Run's dispatch loop would, and resumes the
-// popped task on its resume channel before parking. The slow path costs
-// one channel operation and one goroutine switch instead of two of
-// each; the dispatched sequence is still "pop the global (time, id)
-// minimum among runnable tasks" performed by whichever goroutine
-// currently runs, so every simulated timestamp is identical with
-// handoff on or off (the 2×2 fastpath × handoff matrix in
-// TestFastPathScheduleEquivalence pins this). The same handoff applies
-// to Block when runnable peers remain. The engine goroutine stays
-// parked in its sched receive and handles only the cold edges, which
-// must unwind Run with typed panics on the driving goroutine:
-// block-with-empty-heap (deadlock diagnosis), task completion and
-// forwarded task panics, a requested Abort, and a dispatch that would
-// cross MaxTime (livelock) — handoffOK routes the last two back through
-// the handshake.
-//
-// Ownership and memory ordering: engine scheduling state (queue, now,
-// met, live, tasks, the per-task queued/blocked flags) is owned by
-// whichever single goroutine of the domain is executing — the engine
-// between a sched receive and the next resume send, the running task
-// otherwise. With handoffs that owner migrates directly from task to
-// task: the yielder's writes happen before its send on the next task's
-// resume channel, and the next task's reads happen after its receive,
-// so every ownership transfer — task→task via resume, task→engine via
-// sched, engine→task via resume — is a channel edge the race detector
-// observes as happens-before. The engine goroutine never touches the
-// state while parked, so the migrated ownership is race-free by the
-// same argument as the original fast path. The fast path declines when
-// the task has passed MaxTime so the livelock safety net still trips
-// inside Run.
+// Single-dispatch-loop invariant: every slow-path Sync and every Block
+// yields to the loop in Run, and only the loop pops the heap, advances
+// the clock on a dispatch, and raises the typed failures (deadlock,
+// livelock, abort, task panic). A task that yields runnable is kept as
+// the loop's carry: the next pop takes the minimum of heap ∪ {carry} in
+// one replaceMin sift instead of a push and a pop. Scheduler state
+// (queue, now, met, live, tasks, the per-task flags) is touched by the
+// running body or by the loop, never both at once: iter.Pull's
+// coroutine switches carry race-detector annotations, so each resume
+// and each yield is a happens-before edge `go test -race` observes.
 type Engine struct {
 	queue   taskHeap
 	tasks   []*Task
 	now     Time
-	sched   chan yieldMsg
 	live    int // tasks spawned and not yet finished
 	started atomic.Bool
 	// MaxTime, when non-zero, aborts the run if simulated time passes it.
 	// It is a safety net against model-level livelock.
 	MaxTime Time
-	// noFastPath forces every Sync through the engine handshake; only the
+	// noFastPath forces every Sync through the dispatch loop; only the
 	// determinism tests set it (the fast path must be unobservable).
 	noFastPath bool
-	// noHandoff forces every slow-path yield through the engine goroutine
-	// instead of the direct task-to-task handoff; only the determinism
-	// tests set it (the handoff must be unobservable — the schedule-
-	// equivalence suite runs the full 2×2 fastpath × handoff matrix).
-	noHandoff bool
-	// noInline makes SpawnInline fall back to a goroutine-backed task
-	// driving the same Runnable (DriveRunnable); only the determinism
-	// tests set it (the inline representation must be unobservable — the
-	// equivalence suite runs inline on/off against the 2×2 matrix above).
+	// noInline makes SpawnInline fall back to a coroutine task driving
+	// the same Runnable (DriveRunnable); only the determinism tests set
+	// it (the inline representation must be unobservable — the
+	// equivalence suite runs the {fastpath, inline} on/off matrix).
 	noInline bool
 
-	// Cooperative cancellation (Abort) and post-failure goroutine drain
+	// Cooperative cancellation (Abort) and post-failure coroutine drain
 	// (Shutdown). abortFlag is atomic because Abort may come from any
 	// goroutine (a watchdog timer); it is read once per dispatch and once
 	// every abortStride fast-path Syncs. abortPoll is the countdown to the
-	// next poll — a plain field, written only by the domain's single
-	// running goroutine — which keeps the watchdog's disabled cost on the
-	// fast path to a decrement and branch instead of an atomic load
-	// (BenchmarkSyncFastPathWatchdog gates it). draining/drained are
-	// plain fields: Shutdown runs strictly after Run has unwound, when
-	// every surviving task goroutine is parked in a channel receive, and
-	// the resume-channel handshake orders their reads.
+	// next poll — a plain field, written only by the domain's running
+	// body — which keeps the watchdog's disabled cost on the fast path to
+	// a decrement and branch instead of an atomic load
+	// (BenchmarkSyncFastPathWatchdog gates it). drained is a plain field:
+	// Shutdown runs strictly after Run has unwound.
 	abortFlag   atomic.Bool
 	abortPoll   int
 	abortMu     sync.Mutex
 	abortReason string
-	draining    bool
 	drained     bool
 
 	// Epoch sampling (SetEpoch). nextEpoch is the first simulated time at
 	// which onEpoch fires; it is kept at the Time sentinel maximum while
 	// sampling is off so the hot paths pay one always-false compare and
-	// nothing else. The hook runs synchronously on whichever goroutine
-	// advanced the clock (the engine in Run, or the running task on the
-	// Sync fast path) — legal because at most one goroutine of the domain
-	// executes at a time — and it must only read model state: it may not
-	// Sync, Spawn, Block or Unblock, so the event order is provably
-	// identical with sampling on or off.
+	// nothing else. The hook runs synchronously wherever the clock
+	// advanced (the dispatch loop, or the running task on the Sync fast
+	// path) and it must only read model state: it may not Sync, Spawn,
+	// Block or Unblock, so the event order is provably identical with
+	// sampling on or off.
 	epoch     Time
 	nextEpoch Time
 	onEpoch   func(boundary Time)
@@ -144,25 +111,25 @@ type Engine struct {
 }
 
 // Metrics are the engine's self-observation counters: how often the
-// handshake-free Sync fast path fires, how much work the scheduler heap
+// yield-free Sync fast path fires, how much work the scheduler heap
 // does, and how deep it gets. They cost one increment on the paths they
 // count and exist so the fast path's effectiveness is continuously
 // measurable in every run instead of one-off benchmarked.
 type Metrics struct {
-	SyncFast    uint64 // Syncs answered without the engine handshake
-	SyncSlow    uint64 // Syncs that yielded through the scheduler
-	Dispatches  uint64 // events dispatched by Run's loop (engine resumes)
-	Handoffs    uint64 // events dispatched task-to-task, engine parked
+	SyncFast    uint64 // Syncs answered without a yield
+	SyncSlow    uint64 // Syncs that yielded to the dispatch loop
+	Dispatches  uint64 // coroutine resumes by Run's dispatch loop
+	Handoffs    uint64 // always 0: tasks no longer resume each other; kept for the report schema
 	InlineSteps uint64 // inline-task steps run as plain function calls
 	Spawns      uint64 // tasks ever spawned
-	Blocks     uint64 // yields that blocked awaiting an Unblock
-	Unblocks   uint64 // wake-ups of blocked tasks
-	HeapPushes uint64
-	HeapPops   uint64
-	HeapMax    int // deepest the scheduler heap has been
+	Blocks      uint64 // yields that blocked awaiting an Unblock
+	Unblocks    uint64 // wake-ups of blocked tasks
+	HeapPushes  uint64
+	HeapPops    uint64
+	HeapMax     int // deepest the scheduler heap has been
 }
 
-// FastPathRate returns the fraction of Syncs served handshake-free.
+// FastPathRate returns the fraction of Syncs served without a yield.
 func (m Metrics) FastPathRate() float64 {
 	tot := m.SyncFast + m.SyncSlow
 	if tot == 0 {
@@ -171,27 +138,12 @@ func (m Metrics) FastPathRate() float64 {
 	return float64(m.SyncFast) / float64(tot)
 }
 
-// HandoffRate returns the fraction of slow-path dispatches performed as
-// direct task-to-task handoffs — resumes that never woke the engine
-// goroutine. Together with FastPathRate it locates the dispatch cost of
-// a run: fast-path Syncs are free, handoffs cost one goroutine switch,
-// and the remaining Dispatches cost the full engine round trip.
-func (m Metrics) HandoffRate() float64 {
-	tot := m.Handoffs + m.Dispatches
-	if tot == 0 {
-		return 0
-	}
-	return float64(m.Handoffs) / float64(tot)
-}
-
 // InlineRate returns the fraction of dispatched events that ran as
-// inline steps — plain function calls on the scheduling goroutine, no
-// channel operation and no goroutine switch, cheaper even than a
-// handoff. Events here are inline steps plus goroutine-task dispatches
-// (engine resumes and handoffs); fast-path Syncs are excluded, as in
-// HandoffRate.
+// inline steps — plain function calls on the dispatch loop, cheaper even
+// than a coroutine switch. Events here are inline steps plus coroutine
+// dispatches; fast-path Syncs are excluded.
 func (m Metrics) InlineRate() float64 {
-	tot := m.InlineSteps + m.Dispatches + m.Handoffs
+	tot := m.InlineSteps + m.Dispatches
 	if tot == 0 {
 		return 0
 	}
@@ -218,11 +170,11 @@ func (m Metrics) Snapshot(put func(name string, value float64)) {
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
-	return &Engine{sched: make(chan yieldMsg), nextEpoch: ^Time(0)}
+	return &Engine{nextEpoch: ^Time(0)}
 }
 
 // Metrics returns the engine's self-observation counters so far. Safe to
-// call after Run, or from the running task's goroutine.
+// call after Run, or from a running task.
 func (e *Engine) Metrics() Metrics { return e.met }
 
 // QueueLen returns the current scheduler-heap depth (runnable tasks not
@@ -233,7 +185,7 @@ func (e *Engine) QueueLen() int { return e.queue.len() }
 // reaches or passes every multiple of interval, with the boundary as
 // argument (a jump across several boundaries fires fn once per boundary,
 // so samples stay regularly spaced). Call it before Run. The hook runs
-// on whichever goroutine advanced the engine clock and must only read
+// wherever the engine clock advanced and must only read
 // model state — never Sync, Spawn, Block, Unblock or advance any clock —
 // which is what makes sampling invisible to the event order; see the
 // field comment.
@@ -259,98 +211,47 @@ func (e *Engine) epochTick() {
 // Now returns the time of the most recently dispatched event.
 func (e *Engine) Now() Time { return e.now }
 
-type yieldKind uint8
-
-const (
-	yieldRequeue yieldKind = iota // task advanced its clock; schedule again
-	yieldBlock                    // task blocked; another task must unblock it
-	yieldDone                     // task finished
-	yieldPanic                    // task goroutine panicked; engine must re-panic
-	yieldAborted                  // task unwound via the Shutdown drain sentinel
-	yieldResched                  // inline dispatch hit a cold edge; engine re-diagnoses
-)
-
-type yieldMsg struct {
-	task *Task
-	kind yieldKind
-	// val and stack carry a task goroutine's recovered panic (yieldPanic).
-	val   any
-	stack string
-}
-
 // Task is a simulated agent with its own local clock. All methods must be
-// called from the task's own goroutine unless documented otherwise.
+// called from the task's own body unless documented otherwise.
 type Task struct {
 	engine  *Engine
 	name    string
 	id      int
 	time    Time
-	resume  chan struct{}
 	blocked bool
 	queued  bool
 	done    bool
 	// waitingOn names the resource this task is blocked on (BlockOn);
-	// empty while runnable or for a plain Block. Written by the task
-	// goroutine, read by the engine in snapshotState — ordered by the
-	// sched/resume handshake.
+	// empty while runnable or for a plain Block. Written by the task,
+	// read by the dispatch loop in snapshotState.
 	waitingOn string
+	// next resumes the task's coroutine until it yields or returns, yield
+	// hands control back to the dispatch loop, and stop unwinds a
+	// suspended coroutine (Shutdown); see coro.go. All nil for inline
+	// tasks.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	// fault is a panic recovered from the coroutine body, raised out of
+	// Run by the dispatch loop once the coroutine has returned.
+	fault *TaskPanicError
 	// inline, when non-nil, is the task's state-machine body: the task
-	// has no goroutine and no resume channel, and the dispatcher calls
-	// inline.Step directly (see inline.go).
+	// has no coroutine, and the dispatch loop calls inline.Step directly
+	// (see inline.go).
 	inline Runnable
 	// blockLabel is the pending WillBlockOn label, consumed by the next
 	// StatusBlocked an inline Step (or DriveRunnable) returns.
 	blockLabel string
 }
 
-// Spawn registers fn as a new task starting at time start. It may be called
-// before Run or from a running task.
-func (e *Engine) Spawn(name string, start Time, fn func(*Task)) *Task {
-	t := &Task{
-		engine: e,
-		name:   name,
-		id:     len(e.tasks),
-		time:   start,
-		resume: make(chan struct{}),
-	}
+// newTask registers a task of either kind; the caller attaches its body
+// and pushes it.
+func (e *Engine) newTask(name string, start Time) *Task {
+	t := &Task{engine: e, name: name, id: len(e.tasks), time: start}
 	e.tasks = append(e.tasks, t)
 	e.live++
 	e.met.Spawns++
-	go func() {
-		// The wrapper is the task goroutine's only exit. A panic in model
-		// or workload code is forwarded to the engine goroutine (which
-		// re-panics out of Run as a *TaskPanicError), so failures surface
-		// at exactly one place; the Shutdown drain sentinel just
-		// acknowledges and dies.
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			if _, ok := r.(taskAbortSignal); ok {
-				e.sched <- yieldMsg{task: t, kind: yieldAborted}
-				return
-			}
-			t.done = true
-			e.sched <- yieldMsg{task: t, kind: yieldPanic, val: r, stack: string(debug.Stack())}
-		}()
-		t.pause() // wait for first dispatch
-		fn(t)
-		t.done = true
-		e.sched <- yieldMsg{task: t, kind: yieldDone}
-	}()
-	e.push(t)
 	return t
-}
-
-// pause parks the task until the engine (or Shutdown) resumes it. Every
-// task-side wait goes through here so that a draining engine can unwind
-// the goroutine via the sentinel panic instead of running model code.
-func (t *Task) pause() {
-	<-t.resume
-	if t.engine.draining {
-		panic(taskAbortSignal{})
-	}
 }
 
 func (e *Engine) push(t *Task) {
@@ -366,19 +267,17 @@ func (e *Engine) push(t *Task) {
 	}
 }
 
-// Run dispatches events until every task has finished. With the direct
-// task-to-task handoff (see the Engine doc) the hot dispatches never
-// return here: tasks resume each other while this loop sits parked in
-// its sched receive, and it wakes only for the cold edges — task
-// completion, a blocked task with the runnable set drained (deadlock
-// diagnosis), a forwarded task panic, a requested Abort, a dispatch
-// crossing MaxTime. It panics with a typed value (see abort.go) on
+// Run dispatches events until every task has finished. It is the single
+// dispatch loop: it pops the (time, id) minimum, advances the clock, and
+// either steps an inline task or resumes a coroutine until it yields. A
+// task that yields runnable becomes the carry, merged into the next pop
+// by replaceMin. Run panics with a typed value (see abort.go) on
 // deadlock (live tasks remain but none is runnable — always a bug in a
 // model or workload, never a recoverable condition), on livelock past
-// MaxTime, on a requested Abort, and when a task goroutine panicked;
-// every such value carries an EngineState snapshot. The run layer
-// recovers these in one place (core.System.Run) and must call Shutdown
-// afterwards to drain the parked task goroutines.
+// MaxTime, on a requested Abort, and when a task body panicked; every
+// such value carries an EngineState snapshot. The run layer recovers
+// these in one place (core.System.Run) and must call Shutdown afterwards
+// to unwind the suspended coroutines.
 // Run must be called exactly once, and only one goroutine may drive an
 // Engine: the compare-and-swap below asserts it, making concurrent
 // engines provably non-interfering (each is driven by its own caller).
@@ -386,16 +285,31 @@ func (e *Engine) Run() {
 	if !e.started.CompareAndSwap(false, true) {
 		panic("sim: Engine.Run called twice or from two goroutines")
 	}
+	var carry *Task
 	for e.live > 0 {
 		if e.abortFlag.Load() {
+			if carry != nil {
+				e.push(carry)
+			}
 			panic(e.abortError())
 		}
-		if e.queue.len() == 0 {
-			panic(&DeadlockError{State: e.snapshotState()})
+		var t *Task
+		if carry != nil {
+			e.met.HeapPushes++
+			e.met.HeapPops++
+			t = e.queue.replaceMin(carry)
+			if t != carry {
+				carry.queued = true
+			}
+			carry = nil
+		} else {
+			if e.queue.len() == 0 {
+				panic(&DeadlockError{State: e.snapshotState()})
+			}
+			t = e.queue.pop()
+			e.met.HeapPops++
 		}
-		t := e.queue.pop()
 		t.queued = false
-		e.met.HeapPops++
 		if t.inline == nil {
 			e.met.Dispatches++
 			e.record(flightDispatch, t)
@@ -411,26 +325,20 @@ func (e *Engine) Run() {
 			e.epochTick()
 		}
 		if t.inline != nil {
-			e.driveInlineEngine(t)
+			carry = e.stepInline(t)
 			continue
 		}
-		t.resume <- struct{}{}
-		msg := <-e.sched
-		switch msg.kind {
-		case yieldRequeue:
-			e.push(msg.task)
-		case yieldBlock:
-			msg.task.blocked = true
-			e.met.Blocks++
-			e.record(flightBlock, msg.task)
-		case yieldDone:
-			e.live--
-		case yieldPanic:
-			e.live--
-			panic(&TaskPanicError{TaskName: msg.task.name, Value: msg.val, Stack: msg.stack, State: e.snapshotState()})
-		case yieldResched:
-			// A task-goroutine dispatcher hit a cold edge mid-inline-chain
-			// and handed control back; the loop re-diagnoses from the top.
+		if _, ok := t.next(); ok {
+			if !t.blocked {
+				carry = t
+			}
+			continue
+		}
+		t.done = true
+		e.live--
+		if p := t.fault; p != nil {
+			p.State = e.snapshotState()
+			panic(p)
 		}
 	}
 }
@@ -465,17 +373,11 @@ func (t *Task) Advance(d Time) { t.time += d }
 // applied in timestamp order.
 //
 // When the task is already globally minimal — no queued task precedes it
-// under (time, id) — the engine would dispatch it right back, so Sync
-// returns without the channel round trip (see the fast-path invariant in
-// the Engine doc). The engine clock still advances to the task's time.
-//
-// Otherwise a queued task precedes this one, and the engine's only move
-// would be to pop and resume it — so the yielding task does that itself
-// (the handoff invariant in the Engine doc): swap self for the heap
-// minimum in one sift, advance the clock, resume the winner directly,
-// park. One channel operation and one goroutine switch instead of two
-// of each. Only the cold edges — abort, MaxTime — fall back to the
-// engine handshake.
+// under (time, id) — the dispatch loop would resume it right back, so
+// Sync returns without yielding (see the fast-path invariant in the
+// Engine doc). The engine clock still advances to the task's time.
+// Otherwise the task yields to the loop, which carries it into its next
+// pop.
 func (t *Task) Sync() {
 	e := t.engine
 	if !e.noFastPath && (e.MaxTime == 0 || t.time <= e.MaxTime) &&
@@ -491,72 +393,16 @@ func (t *Task) Sync() {
 	if t.inline != nil {
 		panic("sim: Sync from inline task " + t.name + "'s Step; return StatusRunning instead")
 	}
-	if e.handoffOK(t.time) {
-		e.met.HeapPushes++
-		e.met.HeapPops++
-		n := e.queue.replaceMin(t)
-		if n == t {
-			// The yielder is still globally minimal — possible only when
-			// the fast path was declined for another reason (noFastPath,
-			// or a strided abort poll that read a clear flag after all).
-			// The engine would dispatch it right back; keep running.
-			e.dispatchClock(t)
-			return
-		}
-		t.queued = true
-		n.queued = false
-		e.dispatchClock(n)
-		if n.inline != nil {
-			e.handoffInline(t, n)
-			return
-		}
-		e.met.Handoffs++
-		e.record(flightHandoff, n)
-		n.resume <- struct{}{}
-		t.pause()
-		return
-	}
-	e.sched <- yieldMsg{task: t, kind: yieldRequeue}
-	t.pause()
+	t.suspend()
 }
 
-// handoffOK reports whether the running task may dispatch the next task
-// itself instead of bouncing through the engine goroutine. next is the
-// local time of the yielder (Sync, which requeues itself) or of the
-// heap head (Block, which does not); the task actually dispatched runs
-// at min(next, heap head), which is what the MaxTime comparison needs.
-// The cold edges stay with the engine, because they unwind Run with
-// typed panics on the driving goroutine: a requested Abort and a
-// dispatch that would cross MaxTime decline the handoff, forcing the
-// handshake where Run raises *AbortError / *LivelockError. The abort
-// flag is polled on every slow-path yield — an atomic load is noise
-// next to the goroutine switch that follows — so cancellation latency
-// is no worse than the engine path's once-per-dispatch check.
-func (e *Engine) handoffOK(next Time) bool {
-	if e.noHandoff || e.abortFlag.Load() {
-		return false
-	}
-	if e.MaxTime == 0 {
-		return true
-	}
-	if e.queue.len() > 0 && e.queue.peek().time < next {
-		next = e.queue.peek().time
-	}
-	return next <= e.MaxTime
-}
-
-// dispatchClock advances the engine clock for a dispatch performed on a
-// task goroutine, mirroring Run's dispatch loop: the scheduled-in-the-
-// past consistency check, the clock write, the epoch hook. On a task
-// goroutine the impossible-by-invariant panic surfaces as a
-// *TaskPanicError instead of a raw engine panic; both are loud.
-func (e *Engine) dispatchClock(n *Task) {
-	if n.time < e.now {
-		panic(fmt.Sprintf("sim: task %q scheduled in the past (%v < %v)", n.name, n.time, e.now))
-	}
-	e.now = n.time
-	if e.now >= e.nextEpoch {
-		e.epochTick()
+// suspend yields the task's coroutine to the dispatch loop and returns
+// once the loop resumes it. A false yield means Shutdown is stopping the
+// coroutine: the sentinel panic unwinds the body without running more
+// model code.
+func (t *Task) suspend() {
+	if !t.yield(struct{}{}) {
+		panic(taskAbortSignal{})
 	}
 }
 
@@ -569,10 +415,9 @@ const abortStride = 64
 // abortPollOK amortizes the watchdog's cost on the Sync fast path: a
 // decrement and branch on abortStride-1 calls out of abortStride, one
 // atomic abortFlag load on the rest. A requested Abort declines the fast
-// path, forcing the handshake where the engine raises the typed abort.
+// path, forcing the yield after which the loop raises the typed abort.
 // Without this poll an all-fast-path simulation would be uncancelable.
-// abortPoll is a plain field: only the domain's single running goroutine
-// calls Sync, and the sched/resume handshake orders its writes.
+// abortPoll is a plain field: only the domain's running body calls Sync.
 func (e *Engine) abortPollOK() bool {
 	e.abortPoll--
 	if e.abortPoll >= 0 {
@@ -600,44 +445,22 @@ func (t *Task) Block() { t.block("") }
 func (t *Task) BlockOn(label string) { t.block(label) }
 
 func (t *Task) block(label string) {
-	e := t.engine
 	if t.inline != nil {
 		panic("sim: Block from inline task " + t.name + "'s Step; return StatusBlocked instead")
 	}
 	t.waitingOn = label
-	if e.queue.len() > 0 && e.handoffOK(e.queue.peek().time) {
-		// Runnable peers remain: mark this task blocked and dispatch the
-		// heap minimum directly, exactly as the engine's yieldBlock
-		// handling plus its next loop iteration would. Blocking with an
-		// empty heap stays on the engine path — that is the deadlock the
-		// engine must diagnose with a snapshot.
-		e.met.Blocks++
-		e.record(flightBlock, t)
-		t.blocked = true
-		n := e.queue.pop()
-		n.queued = false
-		e.met.HeapPops++
-		e.dispatchClock(n)
-		if n.inline != nil {
-			e.handoffInline(t, n)
-		} else {
-			e.met.Handoffs++
-			e.record(flightHandoff, n)
-			n.resume <- struct{}{}
-			t.pause()
-		}
-	} else {
-		e.sched <- yieldMsg{task: t, kind: yieldBlock}
-		t.pause()
-	}
+	t.blocked = true
+	t.engine.met.Blocks++
+	t.engine.record(flightBlock, t)
+	t.suspend()
 	t.waitingOn = ""
 }
 
 // Unblock makes a blocked task runnable again, no earlier than time at.
 // The wake time is additionally clamped to the engine's current time: a
 // wake event generated by a task running at time T cannot take effect
-// before T. It must be called from a different, currently-running task's
-// goroutine (the engine is single-threaded, so this is race-free).
+// before T. It must be called from a different, currently-running task
+// (the domain runs one body at a time, so this is race-free).
 func (t *Task) Unblock(at Time) {
 	if t.done {
 		panic("sim: Unblock of finished task " + t.name)
@@ -667,7 +490,7 @@ func (t *Task) before(u *Task) bool {
 // hand-specialized rather than using container/heap: no interface boxing
 // on push/pop, and the sift loops compare the (time, id) key directly.
 // 4-ary halves the tree depth of the binary heap, which matters because
-// the heap is touched twice per slow-path dispatch.
+// the heap is touched on every slow-path dispatch.
 type taskHeap struct {
 	s []*Task
 }
@@ -695,7 +518,7 @@ func (h *taskHeap) push(t *Task) {
 }
 
 // replaceMin pushes t and pops the global minimum in a single sift, the
-// handoff dispatch's heap operation. When t precedes the current root —
+// dispatch loop's heap operation for its carry. When t precedes the current root —
 // or the heap is empty — the heap is left untouched and t itself is
 // returned; otherwise the root is returned and t sifts down from the
 // root slot, halving the work of a separate push + pop. The result is

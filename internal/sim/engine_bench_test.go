@@ -8,8 +8,7 @@ import (
 // BenchmarkSyncFastPath measures a lone task repeatedly advancing and
 // syncing. With no peer at an earlier timestamp the task is always
 // globally minimal, so this is the pure cost of one Sync in the common
-// streaming case (the engine fast path, once it exists, should make it
-// channel-free).
+// streaming case: a heap-head compare, no yield.
 func BenchmarkSyncFastPath(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("solo", 0, func(t *Task) {
@@ -47,10 +46,9 @@ func BenchmarkSyncFastPathWatchdog(b *testing.B) {
 
 // BenchmarkDispatch measures the contended dispatch path: 8 tasks in
 // lockstep, so every Sync finds a peer at an earlier timestamp and must
-// yield. With the direct handoff this is one heap sift, one channel
-// send and one goroutine switch per event — the yielding task resumes
-// its successor itself while the engine goroutine stays parked (the old
-// engine round trip cost two channel operations and two switches).
+// yield. Per event that is one coroutine switch to the dispatch loop,
+// one replaceMin sift carrying the yielder, and one switch into the
+// next task — no channel operation and no scheduler park/wake.
 func BenchmarkDispatch(b *testing.B) {
 	e := NewEngine()
 	const tasks = 8
@@ -67,33 +65,11 @@ func BenchmarkDispatch(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkDispatchNoHandoff is BenchmarkDispatch with the handoff
-// escape hatch thrown: every slow-path yield bounces through the engine
-// goroutine. The gap between this and BenchmarkDispatch is the measured
-// value of the task-to-task handoff.
-func BenchmarkDispatchNoHandoff(b *testing.B) {
-	e := NewEngine()
-	e.noHandoff = true
-	const tasks = 8
-	per := b.N/tasks + 1
-	for i := 0; i < tasks; i++ {
-		e.Spawn("w", 0, func(t *Task) {
-			for j := 0; j < per; j++ {
-				t.Advance(10 * Nanosecond)
-				t.Sync()
-			}
-		})
-	}
-	b.ResetTimer()
-	e.Run()
-}
-
-// BenchmarkDispatchLockstep is the batched-wake case the handoff was
-// built for: 64 tasks all at the same timestamp, every dispatch an
-// equal-time id tiebreak, so the whole run queue is walked task-to-task
-// on one OS thread each round — the N-cores-in-lockstep pattern of a
-// barrier-synchronized multicore simulation, with a deeper heap behind
-// every sift.
+// BenchmarkDispatchLockstep is the batched-wake case: 64 tasks all at
+// the same timestamp, every dispatch an equal-time id tiebreak, so the
+// loop walks the whole run queue each round — the N-cores-in-lockstep
+// pattern of a barrier-synchronized multicore simulation, with a deeper
+// heap behind every sift.
 func BenchmarkDispatchLockstep(b *testing.B) {
 	e := NewEngine()
 	const tasks = 64
@@ -125,10 +101,10 @@ func (s *benchStepper) Step(t *Task) Status {
 
 // BenchmarkDispatchInline is BenchmarkDispatch with the 8 lockstep
 // workers as inline state machines: every dispatch is a heap sift plus a
-// plain function call on the engine goroutine — zero channel operations,
-// zero goroutine switches. The gap between this and BenchmarkDispatch is
-// the measured value of the inline representation, and bench-check pins
-// the pair as a same-run ratio so host drift cannot fake a result.
+// plain function call on the dispatch loop — no coroutine switch. The
+// gap between this and BenchmarkDispatchInlineGoroutine is the measured
+// value of the inline representation, and bench-check pins the pair as
+// a same-run ratio so host drift cannot fake a result.
 func BenchmarkDispatchInline(b *testing.B) {
 	e := NewEngine()
 	const tasks = 8
@@ -141,7 +117,7 @@ func BenchmarkDispatchInline(b *testing.B) {
 }
 
 // BenchmarkDispatchInlineGoroutine is BenchmarkDispatchInline with the
-// identical Runnables forced onto goroutines (the noInline escape
+// identical Runnables forced onto coroutines (the noInline escape
 // hatch): the same-day A/B control measuring exactly what the inline
 // representation removes — the dispatch-path difference with zero
 // workload-code difference.
@@ -165,20 +141,6 @@ func BenchmarkSyncFastPathInline(b *testing.B) {
 	e.SpawnInline("solo", 0, &benchStepper{per: b.N})
 	b.ResetTimer()
 	e.Run()
-}
-
-// BenchmarkServerAcquire measures the dominant calendar operation:
-// monotone arrivals appending at the end of a busy calendar whose live
-// window holds ~200 reservations (1us steps inside the 200us prune
-// window), so pruning is continuously active.
-func BenchmarkServerAcquire(b *testing.B) {
-	s := NewServer("x")
-	at := Time(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Acquire(at, 500*Nanosecond)
-		at += Microsecond
-	}
 }
 
 // BenchmarkFlightRecorderDisabled is BenchmarkDispatchInline with the

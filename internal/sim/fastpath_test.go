@@ -138,35 +138,32 @@ func TestFastSlowPathInterleave(t *testing.T) {
 	}
 }
 
-// dispatchMode is one corner of the {fastpath, handoff} on/off matrix.
+// dispatchMode is one setting of the fast-path switch for coroutine-only
+// schedules; inline_test.go crosses it with the inline representation.
 type dispatchMode struct {
-	name                  string
-	noFastPath, noHandoff bool
+	name       string
+	noFastPath bool
 }
 
-// dispatchModes enumerates all four dispatch configurations. The first
-// entry is the production default; every other corner must produce the
-// same simulated timestamps.
+// dispatchModes enumerates both dispatch configurations. The first
+// entry is the production default; the other must produce the same
+// simulated timestamps.
 var dispatchModes = []dispatchMode{
-	{"fastpath+handoff", false, false},
-	{"fastpath only", false, true},
-	{"handoff only", true, false},
-	{"engine only", true, true},
+	{"fastpath", false},
+	{"dispatch loop only", true},
 }
 
 // TestFastPathScheduleEquivalence is the randomized-schedule oracle: for
 // many random task sets (random start times, random per-step advances
 // including zero, so equal timestamps are common), the observable event
-// order must be byte-for-byte identical across the full 2×2
-// {fastpath, handoff} on/off matrix. This is the determinism proof
-// obligation of both the Sync fast path and the direct task-to-task
-// handoff (see the Engine doc comment).
+// order must be byte-for-byte identical with the Sync fast path on and
+// off. This is the determinism proof obligation of the fast path (see
+// the Engine doc comment).
 func TestFastPathScheduleEquivalence(t *testing.T) {
 	runSchedule := func(seed int64, mode dispatchMode) []step {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 		e.noFastPath = mode.noFastPath
-		e.noHandoff = mode.noHandoff
 		var order []step
 		nTasks := 2 + rng.Intn(6)
 		for i := 0; i < nTasks; i++ {
@@ -205,18 +202,18 @@ func TestFastPathScheduleEquivalence(t *testing.T) {
 	}
 }
 
-// TestHandoffBlockScheduleEquivalence extends the matrix oracle to the
-// Block/Unblock edges the handoff also takes over: tasks randomly block
-// themselves on a FIFO wait list that the next runner drains, so
-// blocked-with-peers (handoff-eligible) and wake ordering interleave
-// with plain Syncs. Every corner of the 2×2 matrix must produce the
-// identical step sequence, including each task's wake times.
+// TestHandoffBlockScheduleEquivalence extends the oracle to the
+// Block/Unblock edges (the name is from the task-to-task handoff it was
+// first written against): tasks randomly block themselves on a FIFO
+// wait list that the next runner drains, so blocks with runnable peers
+// and wake ordering interleave with plain Syncs. Both fast-path
+// settings must produce the identical step sequence, including each
+// task's wake times.
 func TestHandoffBlockScheduleEquivalence(t *testing.T) {
 	runSchedule := func(seed int64, mode dispatchMode) []step {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 		e.noFastPath = mode.noFastPath
-		e.noHandoff = mode.noHandoff
 		var order []step
 		var waiting []*Task // FIFO of blocked tasks; engine is single-threaded
 		liveWorkers := 0
@@ -326,7 +323,7 @@ func TestTaskHeapOrdering(t *testing.T) {
 	}
 }
 
-// TestTaskHeapReplaceMin drives replaceMin (the handoff dispatch's
+// TestTaskHeapReplaceMin drives replaceMin (the dispatch loop's carry
 // single-sift push+pop) against the plain push-then-pop reference on a
 // second heap fed the identical operation stream: the returned minimum
 // and the surviving key set must match at every step.

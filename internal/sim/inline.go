@@ -3,25 +3,20 @@ package sim
 import "runtime/debug"
 
 // This file is the inline-task representation: tasks whose bodies are
-// explicit resumable state machines (Runnable) instead of goroutines.
-// The dispatcher runs an inline task's next step as a plain function
-// call on whichever goroutine is currently scheduling — the engine's
-// Run loop, or a goroutine-backed task mid-handoff — so dispatching an
-// inline task costs zero channel operations and zero goroutine
-// switches. Goroutine-backed and inline tasks interleave freely in one
-// scheduler heap under the same (time, id) total order; the schedule is
-// provably identical between the two representations because both are
-// dispatched by the same "pop the global minimum" rule, and because
-// DriveRunnable gives every Runnable an exact goroutine-backed twin
-// (the {inline on/off} axis of the schedule-equivalence matrix).
+// explicit resumable state machines (Runnable) instead of coroutines.
+// Run's dispatch loop runs an inline task's next step as a plain
+// function call, so dispatching an inline task costs no coroutine
+// switch. Coroutine and inline tasks interleave freely in one scheduler
+// heap under the same (time, id) total order; the schedule is provably
+// identical between the two representations because both are dispatched
+// by the same "pop the global minimum" rule, and because DriveRunnable
+// gives every Runnable an exact coroutine twin (the {inline on/off} axis
+// of the schedule-equivalence matrix).
 //
-// Inline task ownership: an inline task has no goroutine, so its state
-// machine's fields are part of the scheduling domain's state — owned by
-// whichever single goroutine of the domain is currently dispatching,
-// exactly like the engine's queue and clock. Every transfer of that
-// ownership rides the same channel edges as before (task→task resume,
-// task→engine sched, engine→task resume), so `go test -race` proving
-// the handoff invariant proves the inline extension too; see DESIGN.md.
+// An inline task's state-machine fields are part of the scheduling
+// domain's state. The domain runs one body at a time (the
+// single-dispatch-loop invariant; see DESIGN.md), so they need no
+// further ordering.
 
 // Status is what a Runnable's Step reports about the task's state.
 type Status uint8
@@ -41,20 +36,19 @@ const (
 // Runnable is the body of an inline task: an explicit state machine
 // whose Step runs the task up to its next yield point and reports why
 // it stopped. Step must not call Sync, Block, BlockOn or AdvanceTo on
-// its own task — those park a goroutine the task does not have; it
+// its own task — those suspend a coroutine the task does not have; it
 // yields by returning instead. Everything else is allowed: Advance and
 // SetTime move the clock, Unblock wakes peers, Spawn/SpawnInline create
 // tasks, and shared model state may be touched exactly as a
-// goroutine-backed body would between Syncs.
+// coroutine body would between Syncs.
 type Runnable interface {
 	Step(t *Task) Status
 }
 
 // SpawnInline registers r as an inline task starting at time start. The
-// task's steps run as plain function calls on whichever goroutine is
-// dispatching — no goroutine, no channel operations, no stack — which
-// is what makes an inline dispatch cheaper than even the direct
-// task-to-task handoff. May be called before Run or from a running
+// task's steps run as plain function calls on the dispatch loop — no
+// coroutine, no stack — which is what makes an inline dispatch cheaper
+// than a coroutine switch. May be called before Run or from a running
 // task (including from another Runnable's Step).
 func (e *Engine) SpawnInline(name string, start Time, r Runnable) *Task {
 	if r == nil {
@@ -63,21 +57,13 @@ func (e *Engine) SpawnInline(name string, start Time, r Runnable) *Task {
 	if e.noInline {
 		return e.Spawn(name, start, func(t *Task) { DriveRunnable(t, r) })
 	}
-	t := &Task{
-		engine: e,
-		name:   name,
-		id:     len(e.tasks),
-		time:   start,
-		inline: r,
-	}
-	e.tasks = append(e.tasks, t)
-	e.live++
-	e.met.Spawns++
+	t := e.newTask(name, start)
+	t.inline = r
 	e.push(t)
 	return t
 }
 
-// DriveRunnable runs r to completion on a goroutine-backed task,
+// DriveRunnable runs r to completion on a coroutine task,
 // translating each returned Status into the equivalent blocking call:
 // StatusRunning → Sync, StatusBlocked → Block (with WillBlockOn's
 // label), StatusDone → return. SpawnInline falls back to it when inline
@@ -113,13 +99,10 @@ func (t *Task) takeBlockLabel() string {
 	return l
 }
 
-// runStep executes one Step of inline task n. driver is the
-// goroutine-backed task driving the dispatch chain, or nil when the
-// engine goroutine is dispatching. A panic out of Step is routed
-// exactly like a goroutine task body's panic: it surfaces out of Run on
-// the engine goroutine as a *TaskPanicError naming n (forwarded over
-// sched when a task goroutine was driving).
-func (e *Engine) runStep(n, driver *Task) Status {
+// runStep executes one Step of inline task n on the dispatch loop. A
+// panic out of Step is routed exactly like a coroutine body's panic: it
+// surfaces out of Run as a *TaskPanicError naming n.
+func (e *Engine) runStep(n *Task) Status {
 	e.met.InlineSteps++
 	e.record(flightInlineStep, n)
 	n.waitingOn = ""
@@ -129,13 +112,8 @@ func (e *Engine) runStep(n, driver *Task) Status {
 			return
 		}
 		n.done = true
-		stack := string(debug.Stack())
-		if driver == nil {
-			e.live--
-			panic(&TaskPanicError{TaskName: n.name, Value: r, Stack: stack, State: e.snapshotState()})
-		}
-		e.sched <- yieldMsg{task: n, kind: yieldPanic, val: r, stack: stack}
-		driver.pause()
+		e.live--
+		panic(&TaskPanicError{TaskName: n.name, Value: r, Stack: string(debug.Stack()), State: e.snapshotState()})
 	}()
 	return n.inline.Step(n)
 }
@@ -151,25 +129,14 @@ func (e *Engine) inlineSpinOK(t *Task) bool {
 		(e.queue.len() == 0 || t.before(e.queue.peek())) && e.abortPollOK()
 }
 
-// dispatchOK reports whether a popped task m may be dispatched by a
-// non-engine-loop driver, mirroring the cold edges Run's loop checks
-// per iteration: a requested Abort and a dispatch crossing MaxTime must
-// instead unwind Run on the engine goroutine with the typed diagnosis.
-func (e *Engine) dispatchOK(m *Task) bool {
-	if e.abortFlag.Load() {
-		return false
-	}
-	return e.MaxTime == 0 || m.time <= e.MaxTime
-}
-
-// driveInlineEngine dispatches inline task t from Run's loop: t has
-// been popped and the clock advanced. Steps run as plain calls on the
-// engine goroutine; while t stays globally minimal it is re-stepped
-// without touching the heap (the inline fast path), otherwise it is
-// requeued / blocked / retired and the loop resumes scheduling.
-func (e *Engine) driveInlineEngine(t *Task) {
+// stepInline dispatches inline task t from Run's loop: t has been
+// popped and the clock advanced. While t stays globally minimal it is
+// re-stepped without touching the heap (the inline fast path);
+// otherwise it is returned as the loop's carry when still runnable, or
+// marked blocked / retired, and the loop resumes scheduling.
+func (e *Engine) stepInline(t *Task) (carry *Task) {
 	for {
-		switch e.runStep(t, nil) {
+		switch e.runStep(t) {
 		case StatusRunning:
 			if e.inlineSpinOK(t) {
 				e.now = t.time
@@ -178,102 +145,17 @@ func (e *Engine) driveInlineEngine(t *Task) {
 				}
 				continue
 			}
-			e.push(t)
-			return
+			return t
 		case StatusBlocked:
 			t.blocked = true
 			t.waitingOn = t.takeBlockLabel()
 			e.met.Blocks++
 			e.record(flightBlock, t)
-			return
+			return nil
 		case StatusDone:
 			t.done = true
 			e.live--
-			return
+			return nil
 		}
-	}
-}
-
-// handback wakes the parked engine goroutine so its loop can diagnose a
-// cold edge (abort, livelock, deadlock, end of run) exactly as if the
-// dispatch had never left it, then parks the caller like any yield.
-func (e *Engine) handback(t *Task) {
-	e.sched <- yieldMsg{kind: yieldResched}
-	t.pause()
-}
-
-// handoffInline continues a task-to-task handoff whose next runnable is
-// inline task n (already popped, clock advanced): the yielding
-// goroutine-backed task t becomes the dispatcher, stepping n — and any
-// inline successors after it — as plain function calls, until the next
-// runnable is goroutine-backed (resume it and park, a normal handoff),
-// is t itself (return: t's Sync/block call completes), or a cold edge
-// routes back to the engine. This is the zero-switch core of the
-// inline representation: a chain of inline events costs no channel
-// operations at all.
-func (e *Engine) handoffInline(t, n *Task) {
-	for {
-		var m *Task
-		switch e.runStep(n, t) {
-		case StatusRunning:
-			if e.inlineSpinOK(n) {
-				e.now = n.time
-				if e.now >= e.nextEpoch {
-					e.epochTick()
-				}
-				continue
-			}
-			// Requeue n and take the global minimum of heap ∪ {n} in one
-			// sift, exactly as Sync's handoff path does for t.
-			e.met.HeapPushes++
-			e.met.HeapPops++
-			m = e.queue.replaceMin(n)
-			if m != n {
-				n.queued = true
-				m.queued = false
-			}
-		case StatusBlocked:
-			n.blocked = true
-			n.waitingOn = n.takeBlockLabel()
-			e.met.Blocks++
-			e.record(flightBlock, n)
-			if e.queue.len() == 0 {
-				// No runnable task remains. With t blocked too this is the
-				// deadlock the engine must diagnose with a snapshot.
-				e.handback(t)
-				return
-			}
-			m = e.queue.pop()
-			m.queued = false
-			e.met.HeapPops++
-		case StatusDone:
-			n.done = true
-			e.live--
-			if e.queue.len() == 0 {
-				e.handback(t)
-				return
-			}
-			m = e.queue.pop()
-			m.queued = false
-			e.met.HeapPops++
-		}
-		if !e.dispatchOK(m) {
-			e.push(m)
-			e.handback(t)
-			return
-		}
-		e.dispatchClock(m)
-		if m == t {
-			return
-		}
-		if m.inline != nil {
-			n = m
-			continue
-		}
-		e.met.Handoffs++
-		e.record(flightHandoff, m)
-		m.resume <- struct{}{}
-		t.pause()
-		return
 	}
 }

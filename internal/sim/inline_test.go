@@ -8,40 +8,35 @@ import (
 	"time"
 )
 
-// inlineMode is one corner of the {fastpath, handoff, inline} on/off
-// cube. The first entry is the production default; every other corner
-// must produce the same simulated schedule.
+// inlineMode is one corner of the {fastpath, inline} on/off matrix. The
+// first entry is the production default; every other corner must
+// produce the same simulated schedule.
 type inlineMode struct {
-	name                            string
-	noFastPath, noHandoff, noInline bool
+	name                 string
+	noFastPath, noInline bool
 }
 
-// inlineModes enumerates all eight dispatch configurations: the PR 6
-// 2×2 fastpath × handoff matrix crossed with the inline representation
-// on (SpawnInline steps run as plain calls) and off (the same Runnables
-// run goroutine-backed through DriveRunnable).
+// inlineModes enumerates all four dispatch configurations: the Sync
+// fast path on and off, crossed with the inline representation on
+// (SpawnInline steps run as plain calls) and off (the same Runnables
+// run as coroutines through DriveRunnable).
 var inlineModes = []inlineMode{
-	{"inline fastpath+handoff", false, false, false},
-	{"inline fastpath only", false, true, false},
-	{"inline handoff only", true, false, false},
-	{"inline engine only", true, true, false},
-	{"goroutine fastpath+handoff", false, false, true},
-	{"goroutine fastpath only", false, true, true},
-	{"goroutine handoff only", true, false, true},
-	{"goroutine engine only", true, true, true},
+	{"inline fastpath", false, false},
+	{"inline loop only", true, false},
+	{"coroutine fastpath", false, true},
+	{"coroutine loop only", true, true},
 }
 
 func newInlineModeEngine(mode inlineMode) *Engine {
 	e := NewEngine()
 	e.noFastPath = mode.noFastPath
-	e.noHandoff = mode.noHandoff
 	e.noInline = mode.noInline
 	return e
 }
 
 // scriptSM is a Runnable that advances through a fixed list of deltas,
 // recording its local time at each dispatch — the state-machine twin of
-// the goroutine bodies in fastpath_test.go (record after each yield).
+// the coroutine bodies in fastpath_test.go (record after each yield).
 type scriptSM struct {
 	id     int
 	deltas []Time
@@ -63,12 +58,12 @@ func (s *scriptSM) Step(t *Task) Status {
 
 // TestInlineScheduleEquivalence is the randomized-schedule oracle for
 // the inline representation: for many random mixed task sets — some
-// goroutine-backed, some inline, random start times, random per-step
+// coroutines, some inline, random start times, random per-step
 // advances including zero so equal timestamps are common — the
-// observable event order must be identical across the full 2×2×2
-// {fastpath, handoff, inline} cube. Goroutine-backed and inline tasks
-// interleave in one heap, so this pins both the inline dispatch paths
-// (engine loop and mid-handoff driving) and the fallback adapter.
+// observable event order must be identical across the full 2×2
+// {fastpath, inline} matrix. Coroutine and inline tasks interleave in
+// one heap, so this pins the inline dispatch path, the carry between
+// the two kinds, and the fallback adapter.
 func TestInlineScheduleEquivalence(t *testing.T) {
 	runSchedule := func(seed int64, mode inlineMode) []step {
 		rng := rand.New(rand.NewSource(seed))
@@ -172,11 +167,11 @@ func (s *mixSM) Step(t *Task) Status {
 	}
 }
 
-// TestInlineBlockUnblockEquivalence extends the cube oracle to the
-// Block/Unblock edges: inline workers and goroutine workers block on and
-// drain a shared FIFO wait list (inline steps unblock goroutine tasks
-// and vice versa), with a goroutine sweeper in the far future. Every
-// corner of the 2×2×2 matrix must produce the identical step sequence,
+// TestInlineBlockUnblockEquivalence extends the matrix oracle to the
+// Block/Unblock edges: inline workers and coroutine workers block on and
+// drain a shared FIFO wait list (inline steps unblock coroutine tasks
+// and vice versa), with a coroutine sweeper in the far future. Every
+// corner of the 2×2 matrix must produce the identical step sequence,
 // including each task's wake times.
 func TestInlineBlockUnblockEquivalence(t *testing.T) {
 	runSchedule := func(seed int64, mode inlineMode) []step {
@@ -217,7 +212,7 @@ func TestInlineBlockUnblockEquivalence(t *testing.T) {
 				})
 			}
 		}
-		// A goroutine sweeper in the far future unblocks leftover waiters
+		// A coroutine sweeper in the far future unblocks leftover waiters
 		// until every worker has finished.
 		e.Spawn("sweeper", 1_000_000, func(tk *Task) {
 			for env.liveWorkers > 0 {
@@ -252,7 +247,7 @@ func TestInlineBlockUnblockEquivalence(t *testing.T) {
 }
 
 // dynSM is a Runnable parent that spawns children mid-run: at scripted
-// steps it registers a new task (alternating inline and goroutine) while
+// steps it registers a new task (alternating inline and coroutine) while
 // the simulation is executing — the dynamic-spawn path the equivalence
 // tests above never exercise.
 type dynSM struct {
@@ -279,10 +274,9 @@ func (s *dynSM) Step(t *Task) Status {
 }
 
 // TestDynamicSpawnScheduleEquivalence is the mid-sim spawn stress: both
-// goroutine-backed and inline parents spawn both kinds of children while
-// the simulation runs (from task goroutines, from inline Steps driven by
-// the engine loop, and from inline Steps driven mid-handoff), and the
-// full step sequence must be identical across the 2×2×2 mode cube.
+// coroutine and inline parents spawn both kinds of children while the
+// simulation runs (from coroutine bodies and from inline Steps), and
+// the full step sequence must be identical across the 2×2 mode matrix.
 // Child record ids are assigned in spawn order, which the schedule
 // equivalence itself makes deterministic.
 func TestDynamicSpawnScheduleEquivalence(t *testing.T) {
@@ -386,9 +380,9 @@ func (s *spinSM) Step(t *Task) Status {
 }
 
 // TestAbortLandsMidInlineStep is the inline-dispatch regression twin of
-// TestAbortLandsMidHandoff: a watchdog Abort arriving while the engine
-// loop is stepping inline tasks — and while a goroutine task is driving
-// an inline chain mid-handoff — must cancel the run with a typed
+// TestAbortLandsMidHandoff: a watchdog Abort arriving while the dispatch
+// loop is stepping inline tasks — alone, or interleaved with resumes of
+// a coroutine in the same lockstep — must cancel the run with a typed
 // *AbortError and a coherent EngineState snapshot (every task runnable,
 // none stuck "running" or lost).
 func TestAbortLandsMidInlineStep(t *testing.T) {
@@ -404,8 +398,9 @@ func TestAbortLandsMidInlineStep(t *testing.T) {
 			e.SpawnInline("in1", 0, &spinSM{started: make(chan struct{})})
 			tasks := 2
 			if mixed {
-				// A goroutine task in the same lockstep forces the
-				// task-driven inline path (handoffInline) to be active.
+				// A coroutine in the same lockstep makes the loop
+				// alternate coroutine resumes with inline steps, carrying
+				// each kind into the other's pop.
 				e.Spawn("go2", 0, func(tk *Task) {
 					for {
 						tk.Advance(3)
@@ -461,9 +456,9 @@ func (s *panicSM) Step(t *Task) Status {
 
 // TestInlinePanicBecomesTaskPanicError proves a panic inside an inline
 // Step surfaces as a typed *TaskPanicError naming the inline task — both
-// when the engine loop is stepping it and when a goroutine-backed task
-// is driving it mid-handoff (the panic must be forwarded to the engine
-// goroutine, not unwind the driver).
+// when it is the only task and when it runs in lockstep with a
+// coroutine (the panic must name the inline task, not the coroutine
+// suspended around it).
 func TestInlinePanicBecomesTaskPanicError(t *testing.T) {
 	t.Run("engine-driven", func(t *testing.T) {
 		e := NewEngine()
@@ -482,9 +477,9 @@ func TestInlinePanicBecomesTaskPanicError(t *testing.T) {
 	})
 	t.Run("task-driven", func(t *testing.T) {
 		e := NewEngine()
-		// The goroutine task (id 0) and the inline task (id 1) run in
-		// lockstep, so the goroutine task's Sync hands off to the inline
-		// task, whose second step panics on the driver's goroutine.
+		// The coroutine (id 0) and the inline task (id 1) run in
+		// lockstep, so each of the coroutine's Syncs yields to the loop,
+		// which steps the inline task; its second step panics.
 		e.Spawn("driver", 0, func(tk *Task) {
 			for {
 				tk.Advance(10)
@@ -513,8 +508,8 @@ func (s *blockOnceSM) Step(t *Task) Status {
 
 // TestInlineDeadlockDiagnosed pins the deadlock diagnostics for inline
 // tasks: WillBlockOn labels must appear in the DeadlockError exactly as
-// BlockOn labels do, for both the engine-driven block and the
-// block-inside-a-driven-chain (handback) path.
+// BlockOn labels do, for an inline block and a coroutine block in the
+// same run.
 func TestInlineDeadlockDiagnosed(t *testing.T) {
 	e := NewEngine()
 	e.SpawnInline("inliner", 0, &blockOnceSM{label: "gizmo queue"})
@@ -533,7 +528,7 @@ func TestInlineDeadlockDiagnosed(t *testing.T) {
 		t.Fatalf("deadlock message %q missing inline task's label", msg)
 	}
 	if !strings.Contains(msg, "partner (awaiting widget lock") {
-		t.Fatalf("deadlock message %q missing goroutine task's label", msg)
+		t.Fatalf("deadlock message %q missing coroutine task's label", msg)
 	}
 }
 
@@ -590,10 +585,9 @@ func TestInlineMisuseGuards(t *testing.T) {
 	})
 }
 
-// TestInlineMetrics checks the inline counters: steps counted on both
-// dispatch paths, InlineRate derived from them, inline pops not
-// double-counted as engine dispatches, and the probe-facing snapshot
-// name present.
+// TestInlineMetrics checks the inline counters: steps counted, InlineRate
+// derived from them, inline pops not double-counted as coroutine
+// dispatches, and the probe-facing snapshot name present.
 func TestInlineMetrics(t *testing.T) {
 	var order []step
 	e := NewEngine()
@@ -606,7 +600,7 @@ func TestInlineMetrics(t *testing.T) {
 		t.Errorf("InlineSteps = %d, want 12", m.InlineSteps)
 	}
 	if m.Dispatches != 0 || m.Handoffs != 0 {
-		t.Errorf("all-inline run counted goroutine dispatches: %+v", m)
+		t.Errorf("all-inline run counted coroutine dispatches: %+v", m)
 	}
 	if r := m.InlineRate(); r != 1.0 {
 		t.Errorf("InlineRate = %v, want 1", r)
@@ -617,8 +611,8 @@ func TestInlineMetrics(t *testing.T) {
 		t.Errorf("snapshot inline_steps = %v, want 12", got["inline_steps"])
 	}
 
-	// Mixed run: the inline task's steps and the goroutine task's
-	// dispatches share the denominator.
+	// Mixed run: the inline task's steps and the coroutine's dispatches
+	// share the denominator.
 	e = NewEngine()
 	e.SpawnInline("in", 0, &scriptSM{id: 0, deltas: []Time{1, 1, 1}, order: &order})
 	e.Spawn("go", 0, func(tk *Task) {

@@ -39,72 +39,83 @@ func TestMetricsCountFastAndSlowSyncs(t *testing.T) {
 	m = e.Metrics()
 	// Lockstep twins: each Sync sees the sibling queued at the same time,
 	// and the tie goes to the smaller id, so at most the id-0 task can
-	// occasionally win. The slow path must dominate, and nearly all of it
-	// must dispatch as direct task-to-task handoffs: the engine goroutine
-	// only sees the two initial dispatches and the completion edges.
+	// occasionally win. The slow path must dominate, and every slow-path
+	// Sync must come back through exactly one dispatch-loop resume.
 	if m.SyncSlow == 0 {
 		t.Errorf("lockstep twins never took the slow path: %+v", m)
 	}
-	if m.Handoffs == 0 {
-		t.Errorf("lockstep twins never handed off: %+v", m)
+	if m.Dispatches != m.Spawns+m.SyncSlow {
+		t.Errorf("dispatches %d != spawns %d + slow syncs %d", m.Dispatches, m.Spawns, m.SyncSlow)
+	}
+	if m.Handoffs != 0 {
+		t.Errorf("handoffs = %d, want 0: only the dispatch loop resumes tasks", m.Handoffs)
 	}
 	if m.HeapMax < 2 {
 		t.Errorf("heap max %d, want >= 2", m.HeapMax)
-	}
-	if r := m.HandoffRate(); r < 0.5 {
-		t.Errorf("handoff rate = %v (%d handoffs / %d dispatches), want > 0.5", r, m.Handoffs, m.Dispatches)
 	}
 	if m.HeapPushes != m.HeapPops {
 		t.Errorf("heap pushes %d != pops %d after a drained run", m.HeapPushes, m.HeapPops)
 	}
 }
 
-// TestMetricsHandoffVsEngine runs the same lockstep schedule with the
-// handoff enabled and disabled: the simulated result must be identical,
-// the handoff run must move (almost) every slow-path dispatch off the
-// engine goroutine, and the noHandoff run must report zero handoffs.
+// TestMetricsHandoffVsEngine pins the dispatch accounting that replaced
+// the task-to-task handoff (hence the name): in a lockstep run with
+// blocks and wake-ups, every coroutine resume is counted once as a
+// Dispatch by the single loop — the first resume of each task, the
+// return from each slow-path Sync, and the return from each Block —
+// and none as a handoff. The same total is what the handoff engine
+// counted as handoffs plus engine dispatches.
 func TestMetricsHandoffVsEngine(t *testing.T) {
-	run := func(noHandoff bool) (Metrics, Time) {
-		e := NewEngine()
-		e.noHandoff = noHandoff
-		for i := 0; i < 4; i++ {
-			e.Spawn("w", 0, func(task *Task) {
-				for j := 0; j < 50; j++ {
-					task.Advance(Nanosecond)
-					task.Sync()
-				}
-			})
+	e := NewEngine()
+	var parked []*Task
+	drain := func(now Time) {
+		for len(parked) > 0 {
+			parked[0].Unblock(now)
+			parked = parked[1:]
 		}
-		e.Run()
-		return e.Metrics(), e.Now()
 	}
-	hm, hNow := run(false)
-	em, eNow := run(true)
-	if hNow != eNow {
-		t.Fatalf("final times diverge: handoff %v, engine %v", hNow, eNow)
+	// Task 0 never blocks and drains the wait list last, so no task can
+	// block after the last drainer is gone.
+	drainerDone := false
+	for i := 0; i < 4; i++ {
+		i := i
+		e.Spawn("w", 0, func(task *Task) {
+			for j := 0; j < 50; j++ {
+				task.Advance(Nanosecond)
+				task.Sync()
+				drain(task.Time())
+				if i > 0 && j%7 == i && !drainerDone {
+					parked = append(parked, task)
+					task.Block()
+				}
+			}
+			if i == 0 {
+				drain(task.Time())
+				drainerDone = true
+			}
+		})
 	}
-	if em.Handoffs != 0 {
-		t.Errorf("noHandoff run counted %d handoffs", em.Handoffs)
+	e.Run()
+	m := e.Metrics()
+	if m.Blocks == 0 || m.Unblocks != m.Blocks {
+		t.Fatalf("blocks %d, unblocks %d: want a nonzero matched pair", m.Blocks, m.Unblocks)
 	}
-	if em.HandoffRate() != 0 {
-		t.Errorf("noHandoff handoff rate = %v, want 0", em.HandoffRate())
+	if want := m.Spawns + m.SyncSlow + m.Blocks; m.Dispatches != want {
+		t.Errorf("dispatches %d, want spawns %d + slow syncs %d + blocks %d = %d",
+			m.Dispatches, m.Spawns, m.SyncSlow, m.Blocks, want)
 	}
-	if hm.SyncSlow != em.SyncSlow || hm.SyncFast != em.SyncFast {
-		t.Errorf("sync counts diverge: handoff %+v, engine %+v", hm, em)
+	if m.Handoffs != 0 {
+		t.Errorf("handoffs = %d, want 0", m.Handoffs)
 	}
-	if hm.Handoffs+hm.Dispatches != em.Dispatches {
-		t.Errorf("dispatch totals diverge: %d handoffs + %d dispatches != %d engine dispatches",
-			hm.Handoffs, hm.Dispatches, em.Dispatches)
-	}
-	if hm.HandoffRate() < 0.9 {
-		t.Errorf("handoff rate = %v, want nearly all dispatches handed off (%+v)", hm.HandoffRate(), hm)
+	if m.HeapPushes != m.HeapPops {
+		t.Errorf("heap pushes %d != pops %d after a drained run", m.HeapPushes, m.HeapPops)
 	}
 }
 
 // TestMetricsSnapshotEmitsHandoffCounters pins the probe-facing counter
-// names, including the ones the handoff work added (handoffs, spawns,
-// heap_max): renaming or dropping one would silently break recorded
-// probe series.
+// names: renaming or dropping one would silently break recorded probe
+// series. handoffs stays in the set, always 0, so recorded series keep
+// their columns.
 func TestMetricsSnapshotEmitsHandoffCounters(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 2; i++ {
@@ -130,8 +141,8 @@ func TestMetricsSnapshotEmitsHandoffCounters(t *testing.T) {
 	if got["spawns"] != 2 {
 		t.Errorf("spawns = %v, want 2", got["spawns"])
 	}
-	if got["handoffs"] == 0 {
-		t.Errorf("handoffs = 0 for a lockstep run: %v", got)
+	if got["handoffs"] != 0 || got["dispatches"] <= got["spawns"] {
+		t.Errorf("lockstep run: handoffs = %v, dispatches = %v; want 0 and > spawns", got["handoffs"], got["dispatches"])
 	}
 	if got["heap_max"] < 2 {
 		t.Errorf("heap_max = %v, want >= 2", got["heap_max"])

@@ -56,6 +56,31 @@ func TestBothModelsAllWorkloadsSmall(t *testing.T) {
 	}
 }
 
+// TestCalendarArrivalsNeverLate pins the calendar's pruning as exact on
+// every shipped workload: no arrival may land below its server's last
+// prune cut (ServerMetrics.Late), because such an arrival's backfill
+// could miss a discarded reservation and be granted an overlapping
+// slot. Small scale, every model, a small and a large machine.
+func TestCalendarArrivalsNeverLate(t *testing.T) {
+	for _, name := range memsys.Workloads() {
+		for _, model := range []memsys.Model{memsys.CC, memsys.STR, memsys.INC} {
+			for _, cores := range []int{2, 16} {
+				name, model, cores := name, model, cores
+				t.Run(fmt.Sprintf("%s/%v/%d", name, model, cores), func(t *testing.T) {
+					t.Parallel()
+					rep, err := memsys.Run(memsys.DefaultConfig(model, cores), name, memsys.ScaleSmall)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rep.Servers.Late != 0 {
+						t.Fatalf("%d calendar arrivals landed below the prune cut (%+v)", rep.Servers.Late, rep.Servers)
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestINCModelOnCommunicationFreeWorkloads(t *testing.T) {
 	// The incoherent model (Table 1's third option) is sound without
 	// extra software coherence for workloads whose sharing is read-only
