@@ -1,6 +1,6 @@
 # Tier-1 verification and CI entry points (see ROADMAP.md).
 
-.PHONY: verify build test race fault bench bench-engine bench-check paperbench-determinism profile
+.PHONY: verify build test race fault bench bench-engine bench-check paperbench-determinism profile perfbench-build
 
 # verify is the tier-1 gate: build + full test suite.
 verify: build test
@@ -30,6 +30,13 @@ race:
 # live in the same packages and run here too.
 fault:
 	go test -race -timeout 20m ./internal/fault/ ./internal/resultstore/ ./cmd/memsim/ ./cmd/paperbench/
+
+# perfbench-build vets and tests the nested benchmark module
+# (perfbench/, its own go.mod), which `go build ./...` at the root does
+# not reach: a change to the simulator's API can otherwise break the
+# benchmark's compile unnoticed.
+perfbench-build:
+	cd perfbench && go vet ./... && go test ./...
 
 # bench regenerates the perf numbers tracked in BENCH_runner.json.
 bench:

@@ -185,8 +185,8 @@ func writeBreakdownText(w io.Writer, rep *memsys.Report) {
 	}
 	tb.WriteText(w)
 	lt := stats.NewTable("latency distributions", "metric", "count", "mean", "p50", "p95", "p99", "max")
-	rep.Latency.Each(func(name string, d *memsys.LatencyDist) {
-		lt.Row(name, d.Count, d.MeanFS.String(), d.P50FS.String(), d.P95FS.String(), d.P99FS.String(), d.MaxFS.String())
+	rep.Latency.Each(func(c memsys.TxnClass, d *memsys.LatencyDist) {
+		lt.Row(c.String(), d.Count, d.MeanFS.String(), d.P50FS.String(), d.P95FS.String(), d.P99FS.String(), d.MaxFS.String())
 	})
 	lt.WriteText(w)
 }
@@ -457,9 +457,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if rep.Latency != nil {
 			period := sim.MHz(cfg.CoreMHz).Period
 			if period > 0 {
-				rep.Latency.Each(func(lname string, d *memsys.LatencyDist) {
+				rep.Latency.Each(func(c memsys.TxnClass, d *memsys.LatencyDist) {
 					for _, b := range d.Buckets {
-						tele.RecordLatency(lname, uint64(b.HiFS)/uint64(period), b.Count)
+						tele.RecordLatency(c, uint64(b.HiFS)/uint64(period), b.Count)
 					}
 				})
 			}

@@ -432,9 +432,9 @@ func (r *Runner) feedObservability(cfg core.Config, rep *core.Report, tr *txntra
 	if rep != nil && rep.Latency != nil {
 		period := sim.MHz(cfg.CoreMHz).Period
 		if period > 0 {
-			rep.Latency.Each(func(name string, d *ledger.Dist) {
+			rep.Latency.Each(func(c txntrace.Class, d *ledger.Dist) {
 				for _, b := range d.Buckets {
-					r.Telemetry.RecordLatency(name, uint64(b.HiFS)/uint64(period), b.Count)
+					r.Telemetry.RecordLatency(c, uint64(b.HiFS)/uint64(period), b.Count)
 				}
 			})
 		}

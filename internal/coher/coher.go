@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/ledger"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/prefetch"
@@ -119,8 +118,7 @@ type Domain struct {
 	pref  []*prefetch.Prefetcher
 	gath  []*gatherBuffer
 	stats Stats
-	lat   *ledger.Latency  // nil = latency histograms disabled
-	txn   *txntrace.Tracer // nil = transaction tracing disabled
+	obs   *txntrace.Tracer // nil = no observer attached
 	// The RegionScout filter state, array-backed (see table.go):
 	// regions[i] counts core i's resident lines per region, and
 	// regionOwners counts, per region, how many cores hold at least one
@@ -200,20 +198,13 @@ func (d *Domain) Prefetcher(i int) *prefetch.Prefetcher { return d.pref[i] }
 // Stats returns a snapshot of the protocol counters.
 func (d *Domain) Stats() Stats { return d.stats }
 
-// SetLatency attaches the run's service-time histograms (nil disables
-// recording).
-func (d *Domain) SetLatency(l *ledger.Latency) { d.lat = l }
+// SetObserver attaches the run's transaction observer: latency
+// histograms and transaction trees (nil detaches it).
+func (d *Domain) SetObserver(t *txntrace.Tracer) { d.obs = t }
 
-// SetTxnTrace attaches the run's transaction tracer (nil disables it).
-func (d *Domain) SetTxnTrace(t *txntrace.Tracer) { d.txn = t }
-
-// tag annotates the active transaction with an outcome (no-op when
-// tracing is off or nothing is active).
-func (d *Domain) tag(s string) {
-	if d.txn != nil {
-		d.txn.Active().AddTag(s)
-	}
-}
+// tag annotates the active transaction with an outcome (no-op when no
+// tree is being captured).
+func (d *Domain) tag(s string) { d.obs.Active().AddTag(s) }
 
 // Uncore returns the shared hierarchy.
 func (d *Domain) Uncore() *uncore.Uncore { return d.unc }
@@ -294,21 +285,18 @@ func (d *Domain) insertL1(at sim.Time, i int, a mem.Addr, st cache.State, fill s
 // readMiss services a demand read miss (or a prefetch when pf is set)
 // for core i. It returns the time the line is filled.
 func (d *Domain) readMiss(at sim.Time, i int, a mem.Addr, pf bool) sim.Time {
-	if d.txn != nil {
+	if d.obs != nil {
 		class := txntrace.ReadMiss
 		if pf {
 			class = txntrace.Prefetch
 		}
-		d.txn.Begin(class, i, uint64(a.Line()), at)
+		d.obs.Begin(class, i, uint64(a.Line()), at)
 	}
 	done := d.readMiss1(at, i, a, pf)
 	if !pf {
 		d.stats.ReadMissLatency += done - at
-		if d.lat != nil {
-			d.lat.ReadMiss.Record(uint64(done - at))
-		}
 	}
-	d.txn.End(done)
+	d.obs.End(done)
 	return done
 }
 
@@ -325,7 +313,7 @@ func (d *Domain) readMiss1(at sim.Time, i int, a mem.Addr, pf bool) sim.Time {
 	// Step 1: snoop within the cluster.
 	if owner, oln := d.snoopCluster(cl, i, a); owner != -1 {
 		d.stats.C2CCluster++
-		if d.txn != nil {
+		if d.obs.Capturing() {
 			d.tag("src=c2c_cluster")
 			d.tag("mesi=" + oln.State.String() + "->S")
 		}
@@ -379,7 +367,7 @@ func (d *Domain) readMiss1(at sim.Time, i int, a mem.Addr, pf bool) sim.Time {
 		oln.State = cache.Shared
 		newState = cache.Shared
 	}
-	if d.txn != nil {
+	if d.obs.Capturing() {
 		d.tag("src=l2")
 		d.tag("mesi=I->" + newState.String())
 	}
@@ -425,13 +413,10 @@ func (d *Domain) invalidateOthers(at sim.Time, i int, a mem.Addr, withinOnly boo
 // policy: a read-for-ownership that fetches the line (the "superfluous
 // refill" for output-only data) and invalidates every other copy.
 func (d *Domain) writeMiss(at sim.Time, i int, a mem.Addr) sim.Time {
-	d.txn.Begin(txntrace.WriteMiss, i, uint64(a.Line()), at)
+	d.obs.Begin(txntrace.WriteMiss, i, uint64(a.Line()), at)
 	done := d.writeMiss1(at, i, a)
 	d.stats.WriteMissLatency += done - at
-	if d.lat != nil {
-		d.lat.WriteMiss.Record(uint64(done - at))
-	}
-	d.txn.End(done)
+	d.obs.End(done)
 	return done
 }
 
@@ -443,7 +428,7 @@ func (d *Domain) writeMiss1(at sim.Time, i int, a mem.Addr) sim.Time {
 
 	// Cluster-local M/E owner: take the data and ownership locally.
 	if owner, oln := d.snoopCluster(cl, i, a); owner != -1 {
-		if d.txn != nil {
+		if d.obs.Capturing() {
 			d.tag("src=c2c_cluster")
 			d.tag("mesi=" + oln.State.String() + "->M")
 		}
@@ -491,7 +476,7 @@ func (d *Domain) writeMiss1(at sim.Time, i int, a mem.Addr) sim.Time {
 		return td
 	}
 	d.killRemaining(a, i)
-	if d.txn != nil {
+	if d.obs.Capturing() {
 		d.tag("src=l2")
 		d.tag("mesi=I->M")
 	}

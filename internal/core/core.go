@@ -88,37 +88,46 @@ type Config struct {
 
 	// CycleLedger enables the cycle-accounting and latency-distribution
 	// layer (internal/ledger): per-core cycle ledgers with the fixed
-	// class taxonomy plus service-time histograms across the memory
-	// system. The Report then carries Cycles and Latency blocks. Off by
-	// default: every charge site degenerates to a nil compare, and the
-	// simulated outcome is identical either way (accounting reads the
-	// clocks, it never moves them).
+	// class taxonomy plus the memory system's service-time histograms,
+	// recorded by the transaction observer (internal/txntrace; a
+	// tree-less one when TxnTrace is nil). The Report then carries
+	// Cycles and Latency blocks. Off by default: every charge site
+	// degenerates to a nil compare, and the simulated outcome is
+	// identical either way (accounting reads the clocks, it never moves
+	// them). Unlike the Observers it changes the report, so it stays a
+	// machine field.
 	CycleLedger bool
 
+	// Observers come last: encoding/json promotes their fields, so the
+	// config encodes (and hashes) as if they were declared here.
+	Observers
+}
+
+// Observers are the run-scoped observers of one simulation. They
+// describe how a run is watched, not the machine being simulated: each
+// reads clocks and never moves them, so the report is byte-identical
+// with any of them on or off, and Normalize strips them all. Embedded
+// in Config, so cfg.Trace, cfg.Probe, ... read and assign as plain
+// Config fields.
+type Observers struct {
 	// Trace, when non-nil, collects per-core stall/sync spans for
 	// timeline export (internal/trace).
 	Trace cpu.Tracer `json:"-"`
 
 	// Probe, when non-nil, samples the whole machine every
-	// Probe.Interval() of simulated time (internal/probe). Sampling reads
-	// counters only, so the simulated outcome is identical with it on or
-	// off. Like Trace, a Recorder belongs to exactly one run.
+	// Probe.Interval() of simulated time (internal/probe). Like Trace, a
+	// Recorder belongs to exactly one run.
 	Probe *probe.Recorder `json:"-"`
 
 	// FlightRecorder, when positive, arms the engine's flight recorder
 	// to retain the last K scheduler events (sim.SetFlightRecorder),
-	// embedded in every typed failure's EngineState. Like Trace and
-	// Probe it is a run-scoped observer, not part of the simulated
-	// machine: it never moves a clock, so the outcome is identical with
-	// it on or off, and the run layer excludes it from the memo key.
+	// embedded in every typed failure's EngineState.
 	FlightRecorder int `json:"flight_recorder,omitempty"`
 
-	// TxnTrace, when non-nil, records per-transaction causal traces
-	// (internal/txntrace): sampled full trees plus worst-K exemplar
-	// reservoirs per latency class. Like Trace and Probe it is a
-	// run-scoped observer behind the nil-sentinel pattern — it reads
-	// clocks, never moves them — so the report is byte-identical with
-	// it attached or not.
+	// TxnTrace, when non-nil, is the memory system's transaction
+	// observer (internal/txntrace): it records sampled full trees plus
+	// worst-K exemplar reservoirs per latency class, and — with
+	// CycleLedger — the Report's latency histograms.
 	TxnTrace *txntrace.Tracer `json:"-"`
 }
 
@@ -143,10 +152,10 @@ type System struct {
 	net   *noc.Network
 	unc   *uncore.Uncore
 	procs []*cpu.Proc
-	dom   *coher.Domain   // CC only
-	strs  []*stream.Mem   // STR only
-	inc   *incoher.Domain // INC only
-	lat   *ledger.Latency // non-nil when cfg.CycleLedger
+	dom   *coher.Domain    // CC only
+	strs  []*stream.Mem    // STR only
+	inc   *incoher.Domain  // INC only
+	obs   *txntrace.Tracer // memory-system observer; nil when neither CycleLedger nor TxnTrace
 	ran   bool
 }
 
@@ -259,50 +268,37 @@ func New(cfg Config) *System {
 		panic("core: unknown model")
 	}
 	if cfg.CycleLedger {
-		s.attachLedger()
+		for _, p := range s.procs {
+			p.SetLedger(&ledger.Ledger{})
+		}
 	}
-	if cfg.TxnTrace != nil {
-		s.attachTxnTrace(cfg.TxnTrace)
+	s.obs = cfg.TxnTrace
+	if s.obs == nil && cfg.CycleLedger {
+		// Histograms only: no exemplars, no sampling, so the hooks
+		// never allocate a tree.
+		s.obs = &txntrace.Tracer{K: -1}
+	}
+	if s.obs != nil {
+		s.attachObserver(s.obs)
 	}
 	return s
 }
 
-// attachTxnTrace arms transaction tracing: every memory-system layer
-// shares one Tracer, mirroring attachLedger (model code runs
-// single-threaded in event order, so the shared tracer needs no locks).
-func (s *System) attachTxnTrace(t *txntrace.Tracer) {
-	s.unc.SetTxnTrace(t)
-	s.net.SetTxnTrace(t)
+// attachObserver shares one transaction observer across every
+// memory-system layer (model code runs single-threaded in event order,
+// so it needs no locks).
+func (s *System) attachObserver(t *txntrace.Tracer) {
+	s.unc.SetObserver(t)
+	s.net.SetObserver(t)
 	switch s.cfg.Model {
 	case CC:
-		s.dom.SetTxnTrace(t)
+		s.dom.SetObserver(t)
 	case STR:
 		for _, m := range s.strs {
-			m.SetTxnTrace(t)
+			m.SetObserver(t)
 		}
 	case INC:
-		s.inc.SetTxnTrace(t)
-	}
-}
-
-// attachLedger arms the cycle-accounting layer: one ledger per core and
-// one shared set of latency histograms across every memory-system layer.
-func (s *System) attachLedger() {
-	s.lat = &ledger.Latency{}
-	for _, p := range s.procs {
-		p.SetLedger(&ledger.Ledger{})
-	}
-	s.unc.SetLatency(s.lat)
-	s.net.SetLatency(s.lat)
-	switch s.cfg.Model {
-	case CC:
-		s.dom.SetLatency(s.lat)
-	case STR:
-		for _, m := range s.strs {
-			m.SetLatency(s.lat)
-		}
-	case INC:
-		s.inc.SetLatency(s.lat)
+		s.inc.SetObserver(t)
 	}
 }
 

@@ -8,17 +8,14 @@ import (
 )
 
 // Normalize returns the configuration with every run-scoped observer
-// stripped: the tracer, the probe recorder, and the flight recorder
-// describe how one particular run is watched, not the machine being
-// simulated, so two runs differing only in observers are the same
-// experiment. The run layer memoizes on the normalized config, and the
-// persistent result store hashes it — both must agree on what "the same
-// machine" means, which is why this lives here and not in either.
+// (Config.Observers) stripped: they describe how one particular run is
+// watched, not the machine being simulated, so two runs differing only
+// in observers are the same experiment. The run layer memoizes on the
+// normalized config, and the persistent result store hashes it — both
+// must agree on what "the same machine" means, which is why this lives
+// here and not in either.
 func (c Config) Normalize() Config {
-	c.Trace = nil
-	c.Probe = nil
-	c.FlightRecorder = 0
-	c.TxnTrace = nil
+	c.Observers = Observers{}
 	return c
 }
 

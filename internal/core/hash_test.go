@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/probe"
 	"repro/internal/sim"
+	"repro/internal/txntrace"
 )
 
 // TestNormalizeStripsObservers: two configs differing only in run-scoped
@@ -14,6 +16,7 @@ func TestNormalizeStripsObservers(t *testing.T) {
 	observed := plain
 	observed.Probe = probe.NewRecorder(sim.Microsecond)
 	observed.FlightRecorder = 256
+	observed.TxnTrace = &txntrace.Tracer{}
 	if observed.Normalize() != plain.Normalize() {
 		t.Fatal("Normalize did not strip run-scoped observers")
 	}
@@ -23,6 +26,26 @@ func TestNormalizeStripsObservers(t *testing.T) {
 	// Normalize must not mutate the receiver.
 	if observed.Probe == nil || observed.FlightRecorder != 256 {
 		t.Fatal("Normalize mutated its receiver")
+	}
+}
+
+// TestConfigEncodingPinned pins the config's JSON form and content
+// hash to golden values: the embedded Observers struct must keep the
+// key order and every stored result's address unchanged.
+func TestConfigEncodingPinned(t *testing.T) {
+	c := DefaultConfig(STR, 8)
+	c.CycleLedger = true
+	c.FlightRecorder = 64
+	b, err := json.Marshal(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"Model":1,"Cores":8,"CoreMHz":800,"DRAMBandwidthMBps":1600,"PrefetchDepth":0,"NoWriteAllocate":false,"SnoopFilter":false,"InstrPerIMiss":0,"IMissPenalty":20000000,"MaxSimTime":20000000000000000,"L2SizeKB":0,"L2Banks":0,"DRAMChannels":0,"CoresPerCluster":0,"DMAOutstanding":0,"StoreBuffer":0,"CycleLedger":true,"flight_recorder":64}`
+	if string(b) != want {
+		t.Errorf("config JSON changed:\n got %s\nwant %s", b, want)
+	}
+	if h := c.Hash("fir", "small", "v1"); h != "16e60ae97eab96a3c7f0eae641d183ea8b764c8dd85c57c2f8c8aa1e26ccc398" {
+		t.Errorf("config hash changed: %s", h)
 	}
 }
 

@@ -185,7 +185,7 @@ func (s *System) report() *Report {
 			finish[i] = p.FinishTime()
 		}
 		r.Cycles = ledger.NewSummary(r.Wall, leds, finish)
-		r.Latency = s.lat.Summary()
+		r.Latency = ledger.NewLatencySummary(s.obs)
 	}
 	return r
 }

@@ -10,7 +10,6 @@ package dma
 import (
 	"fmt"
 
-	"repro/internal/ledger"
 	"repro/internal/lstore"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -50,10 +49,11 @@ type command struct {
 	// issued is when the core queued the command; completion minus
 	// issued (queuing included) is the command-latency distribution.
 	issued sim.Time
-	// ctx is the command's detached transaction trace (nil when tracing
-	// is off). Commands interleave with other engine work across steps,
-	// so the trace lives on the command, resumed around each beat.
-	ctx *txntrace.Txn
+	// ctx is the command's detached transaction (zero when no observer
+	// is attached). Commands interleave with other engine work across
+	// steps, so the transaction lives on the command, resumed around
+	// each beat.
+	ctx txntrace.Frame
 }
 
 // Stats counts engine activity.
@@ -145,12 +145,11 @@ type Engine struct {
 	ring     []sim.Time // completion times of the window's accesses
 	// Beat-iterator cursor: element index, and the line walk within the
 	// current element for sequential/wide-strided shapes.
-	ei             uint64
+	ei              uint64
 	la, lbase, lend mem.Addr
 
 	stats Stats
-	lat   *ledger.Latency  // nil = latency histograms disabled
-	txn   *txntrace.Tracer // nil = transaction tracing disabled
+	obs   *txntrace.Tracer // nil = no observer attached
 	core  int              // owning core, stamped on traced commands
 }
 
@@ -190,14 +189,11 @@ func (e *Engine) Spawn(eng *sim.Engine, start sim.Time) {
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// SetLatency attaches the run's service-time histograms (nil disables
-// recording).
-func (e *Engine) SetLatency(l *ledger.Latency) { e.lat = l }
-
-// SetTxnTrace attaches the run's transaction tracer (nil disables it);
-// core is the owning core, stamped on each traced command.
-func (e *Engine) SetTxnTrace(t *txntrace.Tracer, core int) {
-	e.txn = t
+// SetObserver attaches the run's transaction observer — latency
+// histograms and transaction trees — (nil detaches it); core is the
+// owning core, stamped on each traced command.
+func (e *Engine) SetObserver(t *txntrace.Tracer, core int) {
+	e.obs = t
 	e.core = core
 }
 
@@ -244,12 +240,12 @@ func (e *Engine) enqueue(at sim.Time, c command) Tag {
 	e.nextTag++
 	c.tag = e.nextTag
 	c.issued = at
-	if e.txn != nil {
+	if e.obs != nil {
 		class := txntrace.DMAGet
 		if c.dir == Put {
 			class = txntrace.DMAPut
 		}
-		c.ctx = e.txn.BeginDetached(class, e.core, uint64(c.base), at)
+		c.ctx = e.obs.BeginDetached(class, e.core, uint64(c.base), at)
 	}
 	e.queue = append(e.queue, c)
 	e.stats.Commands++
@@ -384,10 +380,10 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 			e.cur = e.queue[0]
 			e.queue = e.queue[1:]
 			e.cmdStart = t.Time()
-			if e.cur.ctx != nil && e.cmdStart > e.cur.issued {
-				e.txn.Resume(e.cur.ctx)
-				e.txn.Hop("dma", "queue", e.cur.issued, e.cmdStart)
-				e.txn.Suspend()
+			if e.obs != nil && e.cmdStart > e.cur.issued {
+				e.obs.Resume(e.cur.ctx)
+				e.obs.Hop("dma", "queue", e.cur.issued, e.cmdStart)
+				e.obs.Suspend()
 			}
 			e.beatNo = 0
 			e.last = 0
@@ -400,9 +396,9 @@ func (e *Engine) Step(t *sim.Task) sim.Status {
 			// The command's trace is active only for the duration of the
 			// access, so the nested uncore/NoC hops attribute to it while
 			// other tasks' hops (between engine steps) cannot.
-			e.txn.Resume(e.cur.ctx)
+			e.obs.Resume(e.cur.ctx)
 			done := e.performBeat(t)
-			e.txn.Suspend()
+			e.obs.Suspend()
 			e.ring[e.beatNo%e.window] = done
 			if done > e.last {
 				e.last = done
@@ -574,17 +570,11 @@ func (e *Engine) finishCmd(done sim.Time) {
 	if e.cur.dir == Get {
 		e.stats.GetCommands++
 		e.stats.GetLatency += cmdLat
-		if e.lat != nil {
-			e.lat.DMAGet.Record(uint64(cmdLat))
-		}
 	} else {
 		e.stats.PutCommands++
 		e.stats.PutLatency += cmdLat
-		if e.lat != nil {
-			e.lat.DMAPut.Record(uint64(cmdLat))
-		}
 	}
-	e.txn.EndDetached(e.cur.ctx, done)
+	e.obs.EndDetached(e.cur.ctx, done)
 	e.done[e.cur.tag] = done
 	e.lastDone = e.cur.tag
 	if e.waiter != nil && e.waitingFor <= e.cur.tag {

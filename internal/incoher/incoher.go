@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/ledger"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/sim"
@@ -86,8 +85,7 @@ type Domain struct {
 	procs []*cpu.Proc
 	l1s   []*cache.Cache
 	stats Stats
-	lat   *ledger.Latency  // nil = latency histograms disabled
-	txn   *txntrace.Tracer // nil = transaction tracing disabled
+	obs   *txntrace.Tracer // nil = no observer attached
 }
 
 // NewDomain builds the incoherent L1 level for the given cores.
@@ -112,12 +110,9 @@ func (d *Domain) L1(i int) *cache.Cache { return d.l1s[i] }
 // Stats returns a snapshot of the counters.
 func (d *Domain) Stats() Stats { return d.stats }
 
-// SetLatency attaches the run's service-time histograms (nil disables
-// recording).
-func (d *Domain) SetLatency(l *ledger.Latency) { d.lat = l }
-
-// SetTxnTrace attaches the run's transaction tracer (nil disables it).
-func (d *Domain) SetTxnTrace(t *txntrace.Tracer) { d.txn = t }
+// SetObserver attaches the run's transaction observer: latency
+// histograms and transaction trees (nil detaches it).
+func (d *Domain) SetObserver(t *txntrace.Tracer) { d.obs = t }
 
 // Mem is the per-core cpu.ProcMem of the incoherent model. Misses go
 // straight to the shared L2/DRAM with no snooping.
@@ -150,16 +145,13 @@ func (m *Mem) Load(p *cpu.Proc, a mem.Addr) sim.Time {
 	p.Task().Sync()
 	m.d.stats.ReadMisses++
 	at := p.Now()
-	m.d.txn.Begin(txntrace.ReadMiss, m.core, uint64(a.Line()), at)
+	m.d.obs.Begin(txntrace.ReadMiss, m.core, uint64(a.Line()), at)
 	cl := m.cluster()
 	t := m.d.net.BusControl(at, cl)
 	done, _ := m.d.unc.ReadLine(t, cl, a)
 	done = m.d.net.BusData(done, cl, mem.LineSize)
-	m.d.txn.End(done)
+	m.d.obs.End(done)
 	m.d.stats.ReadMissLatency += done - at
-	if m.d.lat != nil {
-		m.d.lat.ReadMiss.Record(uint64(done - at))
-	}
 	_, ev := c.Insert(a, cache.Exclusive, done)
 	m.evict(done, ev)
 	return done
@@ -180,16 +172,13 @@ func (m *Mem) Store(p *cpu.Proc, a mem.Addr, nbytes uint64) sim.Time {
 	p.Task().Sync()
 	m.d.stats.WriteMisses++
 	at := p.Now()
-	m.d.txn.Begin(txntrace.WriteMiss, m.core, uint64(a.Line()), at)
+	m.d.obs.Begin(txntrace.WriteMiss, m.core, uint64(a.Line()), at)
 	cl := m.cluster()
 	t := m.d.net.BusControl(at, cl)
 	done, _ := m.d.unc.ReadLine(t, cl, a) // write-allocate refill
 	done = m.d.net.BusData(done, cl, mem.LineSize)
-	m.d.txn.End(done)
+	m.d.obs.End(done)
 	m.d.stats.WriteMissLatency += done - at
-	if m.d.lat != nil {
-		m.d.lat.WriteMiss.Record(uint64(done - at))
-	}
 	ln, ev := c.Insert(a, cache.Modified, done)
 	ln.Dirty = true
 	m.evict(done, ev)

@@ -5,42 +5,8 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/txntrace"
 )
-
-// Latency is one run's set of service-time histograms, shared by every
-// layer of the memory system. Each recording site holds a *Latency that
-// is nil when the ledger is disabled — the same sentinel compare as the
-// per-core cycle ledger. All values are femtoseconds.
-type Latency struct {
-	// ReadMiss / WriteMiss are demand misses of the first-level storage:
-	// the CC and INC L1s, or the STR 8 KB stack/globals cache — issue to
-	// data-available, as seen by the core.
-	ReadMiss  stats.Histogram
-	WriteMiss stats.Histogram
-	// L2Hit / DRAMFill split uncore line reads by where the data came
-	// from: the shared L2's port, or a DRAM fill (request leaving the
-	// cluster to data back at the cluster).
-	L2Hit    stats.Histogram
-	DRAMFill stats.Histogram
-	// DMAGet / DMAPut are whole DMA command latencies: enqueue by the
-	// core to last beat complete, queuing included.
-	DMAGet stats.Histogram
-	DMAPut stats.Histogram
-	// NoCAcquire is the arbitration wait of every bus and crossbar
-	// transfer: grant time minus arrival at the link.
-	NoCAcquire stats.Histogram
-}
-
-// Each calls f for every histogram in fixed export order.
-func (l *Latency) Each(f func(name string, h *stats.Histogram)) {
-	f("read_miss", &l.ReadMiss)
-	f("write_miss", &l.WriteMiss)
-	f("l2_hit", &l.L2Hit)
-	f("dram_fill", &l.DRAMFill)
-	f("dma_get", &l.DMAGet)
-	f("dma_put", &l.DMAPut)
-	f("noc_acquire", &l.NoCAcquire)
-}
 
 // Bucket is one non-empty power-of-two histogram bucket.
 type Bucket struct {
@@ -82,8 +48,12 @@ func distOf(h *stats.Histogram) *Dist {
 	return d
 }
 
-// LatencySummary is the Report's latency block, one Dist per metric
-// (nil = no observations in this run).
+// LatencySummary is the Report's latency block, one Dist per report
+// class (nil = no observations in this run). The fields follow
+// txntrace.ReportClasses in order and their JSON tags repeat the class
+// names (TestLatencySummaryJSON pins both): plain tagged fields keep
+// encoding/json on its fast path, where a custom Marshaler/Unmarshaler
+// pair doubled the block's encode and decode time.
 type LatencySummary struct {
 	ReadMiss   *Dist `json:"read_miss,omitempty"`
 	WriteMiss  *Dist `json:"write_miss,omitempty"`
@@ -94,35 +64,28 @@ type LatencySummary struct {
 	NoCAcquire *Dist `json:"noc_acquire,omitempty"`
 }
 
-// Summary converts the histograms to the report block.
-func (l *Latency) Summary() *LatencySummary {
-	return &LatencySummary{
-		ReadMiss:   distOf(&l.ReadMiss),
-		WriteMiss:  distOf(&l.WriteMiss),
-		L2Hit:      distOf(&l.L2Hit),
-		DRAMFill:   distOf(&l.DRAMFill),
-		DMAGet:     distOf(&l.DMAGet),
-		DMAPut:     distOf(&l.DMAPut),
-		NoCAcquire: distOf(&l.NoCAcquire),
-	}
+// fields returns the distributions in txntrace.ReportClasses order.
+func (s *LatencySummary) fields() [7]**Dist {
+	return [...]**Dist{&s.ReadMiss, &s.WriteMiss, &s.L2Hit, &s.DRAMFill, &s.DMAGet, &s.DMAPut, &s.NoCAcquire}
 }
 
-// Each calls f for every non-nil distribution in fixed export order.
-func (s *LatencySummary) Each(f func(name string, d *Dist)) {
-	for _, e := range []struct {
-		name string
-		d    *Dist
-	}{
-		{"read_miss", s.ReadMiss},
-		{"write_miss", s.WriteMiss},
-		{"l2_hit", s.L2Hit},
-		{"dram_fill", s.DRAMFill},
-		{"dma_get", s.DMAGet},
-		{"dma_put", s.DMAPut},
-		{"noc_acquire", s.NoCAcquire},
-	} {
-		if e.d != nil {
-			f(e.name, e.d)
+// NewLatencySummary converts a run's observer histograms to the report
+// block.
+func NewLatencySummary(t *txntrace.Tracer) *LatencySummary {
+	s := &LatencySummary{}
+	f := s.fields()
+	for i, c := range txntrace.ReportClasses() {
+		*f[i] = distOf(t.Histogram(c))
+	}
+	return s
+}
+
+// Each calls f for every non-nil distribution in export order.
+func (s *LatencySummary) Each(f func(c txntrace.Class, d *Dist)) {
+	dists := s.fields()
+	for i, c := range txntrace.ReportClasses() {
+		if d := *dists[i]; d != nil {
+			f(c, d)
 		}
 	}
 }
@@ -131,9 +94,9 @@ func (s *LatencySummary) Each(f func(name string, d *Dist)) {
 // (metric,lo_fs,hi_fs,count) — the memsim -latency-csv payload.
 func (s *LatencySummary) WriteBucketsCSV(w io.Writer) {
 	t := stats.NewTable("", "metric", "lo_fs", "hi_fs", "count")
-	s.Each(func(name string, d *Dist) {
+	s.Each(func(c txntrace.Class, d *Dist) {
 		for _, b := range d.Buckets {
-			t.Row(name, uint64(b.LoFS), uint64(b.HiFS), b.Count)
+			t.Row(c.String(), uint64(b.LoFS), uint64(b.HiFS), b.Count)
 		}
 	})
 	t.WriteCSV(w)

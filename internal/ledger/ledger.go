@@ -1,7 +1,8 @@
 // Package ledger is the cross-layer cycle-accounting subsystem: a
 // per-core ledger that attributes every core cycle to a fixed taxonomy
-// of classes, plus service-time histograms for the memory system's
-// latency distributions (latency.go).
+// of classes, plus the report form of the memory system's latency
+// distributions (latency.go), whose histograms the transaction
+// observer (internal/txntrace) records.
 //
 // The ledger refines the Figure 2 breakdown (cpu.Breakdown) without
 // replacing it: every site in internal/cpu that charges a breakdown

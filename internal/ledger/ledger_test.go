@@ -1,10 +1,13 @@
 package ledger
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/txntrace"
 )
 
 func TestClassNamesAndOrder(t *testing.T) {
@@ -82,5 +85,56 @@ func TestSummaryIdleAndCheck(t *testing.T) {
 	s.PerCore[1][Compute]++
 	if err := s.Check(wall); err == nil {
 		t.Errorf("Check missed a broken row")
+	}
+}
+
+// TestLatencySummaryJSON: the latency block's fields and JSON tags
+// follow txntrace.ReportClasses, it encodes as an object keyed by class
+// name in report order — prefetch fills and empty classes left out —
+// and decodes back to the same bytes (the result-store and manifest
+// round trip).
+func TestLatencySummaryJSON(t *testing.T) {
+	typ := reflect.TypeOf(LatencySummary{})
+	classes := txntrace.ReportClasses()
+	if typ.NumField() != len(classes) {
+		t.Fatalf("%d fields for %d report classes", typ.NumField(), len(classes))
+	}
+	var probe LatencySummary
+	for i, c := range classes {
+		if tag := typ.Field(i).Tag.Get("json"); tag != c.String()+",omitempty" {
+			t.Errorf("field %s tagged %q, want class %v", typ.Field(i).Name, tag, c)
+		}
+		if p := probe.fields()[i]; p != reflect.ValueOf(&probe).Elem().Field(i).Addr().Interface() {
+			t.Errorf("fields()[%d] is not field %s", i, typ.Field(i).Name)
+		}
+	}
+
+	tr := &txntrace.Tracer{K: -1}
+	tr.Begin(txntrace.WriteMiss, 0, 0x40, 0)
+	tr.End(300)
+	tr.Begin(txntrace.Prefetch, 0, 0x80, 0)
+	tr.End(5)
+	tr.Begin(txntrace.ReadMiss, 0, 0xc0, 10)
+	tr.End(110)
+	tr.RecordNoCAcquire(3)
+	b, err := json.Marshal(NewLatencySummary(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"read_miss":{"count":1,"mean_fs":100,"p50_fs":100,"p95_fs":100,"p99_fs":100,"max_fs":100,"buckets":[{"lo_fs":64,"hi_fs":127,"count":1}]},` +
+		`"write_miss":{"count":1,"mean_fs":300,"p50_fs":300,"p95_fs":300,"p99_fs":300,"max_fs":300,"buckets":[{"lo_fs":256,"hi_fs":511,"count":1}]},` +
+		`"noc_acquire":{"count":1,"mean_fs":3,"p50_fs":3,"p95_fs":3,"p99_fs":3,"max_fs":3,"buckets":[{"lo_fs":2,"hi_fs":3,"count":1}]}}`
+	if string(b) != want {
+		t.Fatalf("encoding:\n got %s\nwant %s", b, want)
+	}
+	var back LatencySummary
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := json.Marshal(&back); string(again) != want {
+		t.Fatalf("round trip:\n got %s\nwant %s", again, want)
+	}
+	if empty, _ := json.Marshal(NewLatencySummary(&txntrace.Tracer{})); string(empty) != `{}` {
+		t.Fatalf("empty summary encodes as %s", empty)
 	}
 }

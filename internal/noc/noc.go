@@ -9,7 +9,6 @@ package noc
 import (
 	"fmt"
 
-	"repro/internal/ledger"
 	"repro/internal/sim"
 	"repro/internal/txntrace"
 )
@@ -62,8 +61,7 @@ type Network struct {
 	toL2  []*sim.Pipe // per-cluster crossbar output port (towards L2)
 	frL2  []*sim.Pipe // per-cluster crossbar input port (from L2)
 	stats Stats
-	lat   *ledger.Latency  // nil = latency histograms disabled
-	txn   *txntrace.Tracer // nil = transaction tracing disabled
+	obs   *txntrace.Tracer // nil = no observer attached
 }
 
 // New returns a network with cfg.
@@ -86,27 +84,24 @@ func (n *Network) Config() Config { return n.cfg }
 // Stats returns a snapshot of the counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// SetLatency attaches the run's service-time histograms (nil disables
-// recording).
-func (n *Network) SetLatency(l *ledger.Latency) { n.lat = l }
+// SetObserver attaches the run's transaction observer: latency
+// histograms and transaction trees (nil detaches it).
+func (n *Network) SetObserver(t *txntrace.Tracer) { n.obs = t }
 
-// SetTxnTrace attaches the run's transaction tracer (nil disables it).
-func (n *Network) SetTxnTrace(t *txntrace.Tracer) { n.txn = t }
-
-// xfer runs one tracked transfer, recording the arbitration wait into
-// the NoC-acquire histogram and a hop on the active transaction when
-// either observer is enabled.
+// xfer runs one tracked transfer. With an observer attached, the
+// arbitration wait goes into the NoC-acquire histogram, and — when a
+// tree is being captured — a hop onto the active transaction.
 func (n *Network) xfer(p *sim.Pipe, at sim.Time, nbytes uint64, op string) sim.Time {
 	done, wait := p.TransferTracked(at, nbytes)
-	if n.lat != nil {
-		n.lat.NoCAcquire.Record(uint64(wait))
-	}
-	if n.txn != nil {
-		tag := ""
-		if wait > 0 {
-			tag = fmt.Sprintf("wait=%dfs", wait)
+	if n.obs != nil {
+		n.obs.RecordNoCAcquire(wait)
+		if n.obs.Capturing() {
+			tag := ""
+			if wait > 0 {
+				tag = fmt.Sprintf("wait=%dfs", wait)
+			}
+			n.obs.HopTag("noc", op, at, done, tag)
 		}
-		n.txn.HopTag("noc", op, at, done, tag)
 	}
 	return done
 }

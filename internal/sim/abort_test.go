@@ -107,17 +107,21 @@ func TestAbortCancelsFastPathLoop(t *testing.T) {
 func TestAbortLandsMidHandoff(t *testing.T) {
 	e := NewEngine()
 	started := make(chan struct{})
-	var once bool
 	const tasks = 4
+	// Abort only once the loop has dispatched a few slow-path Syncs, so
+	// the abort cannot land before the first dispatch however fast the
+	// aborting goroutine wakes (under -race it wins that race). The
+	// bodies run one at a time on the dispatch loop, so the counter
+	// needs no lock.
+	syncs := 0
 	for i := 0; i < tasks; i++ {
 		e.Spawn("core", 0, func(tk *Task) {
 			for {
-				if !once {
-					once = true
-					close(started)
-				}
 				tk.Advance(3)
 				tk.Sync()
+				if syncs++; syncs == 2*tasks {
+					close(started)
+				}
 			}
 		})
 	}

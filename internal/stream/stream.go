@@ -58,8 +58,7 @@ type Mem struct {
 	ls      *lstore.Store
 	eng     *dma.Engine
 	stats   Stats
-	lat     *ledger.Latency  // nil = latency histograms disabled
-	txn     *txntrace.Tracer // nil = transaction tracing disabled
+	obs     *txntrace.Tracer // nil = no observer attached
 }
 
 // Stats counts the 8 KB cache's miss service, mirroring the coherent
@@ -133,18 +132,12 @@ func (m *Mem) DMA() *dma.Engine { return m.eng }
 // Stats returns the 8 KB cache's miss accounting.
 func (m *Mem) Stats() Stats { return m.stats }
 
-// SetLatency attaches the run's service-time histograms to this first
-// level and its DMA engine (nil disables recording).
-func (m *Mem) SetLatency(l *ledger.Latency) {
-	m.lat = l
-	m.eng.SetLatency(l)
-}
-
-// SetTxnTrace attaches the run's transaction tracer to this first level
-// and its DMA engine (nil disables it).
-func (m *Mem) SetTxnTrace(t *txntrace.Tracer) {
-	m.txn = t
-	m.eng.SetTxnTrace(t, m.core)
+// SetObserver attaches the run's transaction observer — latency
+// histograms and transaction trees — to this first level and its DMA
+// engine (nil detaches it).
+func (m *Mem) SetObserver(t *txntrace.Tracer) {
+	m.obs = t
+	m.eng.SetObserver(t, m.core)
 }
 
 // FlushClass implements cpu.FlushClasser: the Finish-time drain waits on
@@ -158,16 +151,13 @@ func (m *Mem) Load(p *cpu.Proc, a mem.Addr) sim.Time {
 	}
 	p.Task().Sync()
 	at := p.Now()
-	m.txn.Begin(txntrace.ReadMiss, m.core, uint64(a.Line()), at)
+	m.obs.Begin(txntrace.ReadMiss, m.core, uint64(a.Line()), at)
 	done, _ := m.unc.ReadLine(m.busOut(at), m.cluster, a)
 	done = m.unc.Network().BusData(done, m.cluster, mem.LineSize)
-	m.txn.End(done)
+	m.obs.End(done)
 	m.insert(done, a, cache.Exclusive)
 	m.stats.ReadMisses++
 	m.stats.ReadMissLatency += done - at
-	if m.lat != nil {
-		m.lat.ReadMiss.Record(uint64(done - at))
-	}
 	return done
 }
 
@@ -181,17 +171,14 @@ func (m *Mem) Store(p *cpu.Proc, a mem.Addr, nbytes uint64) sim.Time {
 	}
 	p.Task().Sync()
 	at := p.Now()
-	m.txn.Begin(txntrace.WriteMiss, m.core, uint64(a.Line()), at)
+	m.obs.Begin(txntrace.WriteMiss, m.core, uint64(a.Line()), at)
 	done, _ := m.unc.ReadLine(m.busOut(at), m.cluster, a)
 	done = m.unc.Network().BusData(done, m.cluster, mem.LineSize)
-	m.txn.End(done)
+	m.obs.End(done)
 	ln := m.insert(done, a, cache.Modified)
 	ln.Dirty = true
 	m.stats.WriteMisses++
 	m.stats.WriteMissLatency += done - at
-	if m.lat != nil {
-		m.lat.WriteMiss.Record(uint64(done - at))
-	}
 	return done
 }
 

@@ -1,37 +1,25 @@
 package telemetry
 
-import "repro/internal/stats"
+import (
+	"slices"
 
-// LatencyClasses are the per-class campaign latency histograms exported
-// as the memsim_latency_cycles family, in render order. They mirror the
-// cycle ledger's headline service-time metrics; classes outside this
-// list are ignored by RecordLatency.
-var LatencyClasses = []string{"read_miss", "write_miss", "dma_get", "dma_put"}
-
-func latencyIndex(class string) int {
-	for i, c := range LatencyClasses {
-		if c == class {
-			return i
-		}
-	}
-	return -1
-}
+	"repro/internal/stats"
+	"repro/internal/txntrace"
+)
 
 // RecordLatency merges count observations of one latency value (in core
 // cycles) into the campaign-wide histogram for class. The runner calls
 // it per report bucket, replaying each run's power-of-two latency
-// distribution into the campaign aggregate; unknown classes are
-// ignored. Purely observational, like every Campaign method.
-func (c *Campaign) RecordLatency(class string, cycles, count uint64) {
-	if c == nil {
-		return
-	}
-	i := latencyIndex(class)
-	if i < 0 {
+// distribution into the campaign aggregate. Only the headline classes
+// (txntrace.CampaignClasses, the memsim_latency_cycles family) are
+// kept; others are ignored. Purely observational, like every Campaign
+// method.
+func (c *Campaign) RecordLatency(class txntrace.Class, cycles, count uint64) {
+	if c == nil || !slices.Contains(txntrace.CampaignClasses(), class) {
 		return
 	}
 	c.mu.Lock()
-	c.latency[i].RecordN(cycles, count)
+	c.latency[class].RecordN(cycles, count)
 	c.mu.Unlock()
 }
 

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/txntrace"
 )
 
 // TestEscapeLabel pins the three escapes of the exposition format.
@@ -52,11 +54,12 @@ func TestWriteMetricsGolden(t *testing.T) {
 	c.ErrCell()
 
 	// Campaign latency histograms (bucket replay) and transaction-tracer
-	// rollups; the unknown class must be ignored.
-	c.RecordLatency("read_miss", 5, 1)
-	c.RecordLatency("read_miss", 100, 3)
-	c.RecordLatency("dma_get", 1, 2)
-	c.RecordLatency("bogus", 9, 9)
+	// rollups; classes outside the campaign set must be ignored.
+	c.RecordLatency(txntrace.ReadMiss, 5, 1)
+	c.RecordLatency(txntrace.ReadMiss, 100, 3)
+	c.RecordLatency(txntrace.DMAGet, 1, 2)
+	c.RecordLatency(txntrace.L2Hit, 9, 9)
+	c.RecordLatency(txntrace.NumClasses, 9, 9)
 	c.RecordTxnClass("read_miss", 42, 4, 17, 123456)
 	c.RecordTxnClass("dma_get", 7, 2, 99, 999999)
 	c.RecordTxnClass("read_miss", 8, 4, 3, 200000)

@@ -1,6 +1,10 @@
 package telemetry
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/txntrace"
+)
 
 // SpanSnapshot is one job's lifecycle record as served by /progress.
 // Times are nanoseconds; zero means "not yet" (e.g. StartedNS while
@@ -39,10 +43,10 @@ type Snapshot struct {
 	ElapsedNS int64 `json:"elapsed_ns"`
 	Workers   int   `json:"workers,omitempty"`
 
-	Enqueued int `json:"enqueued"` // spans opened (fresh + seeded)
-	Queued   int `json:"queued"`
-	Running  int `json:"running"`
-	Retrying int `json:"retrying"`
+	Enqueued  int `json:"enqueued"` // spans opened (fresh + seeded)
+	Queued    int `json:"queued"`
+	Running   int `json:"running"`
+	Retrying  int `json:"retrying"`
 	Done      int `json:"done"`
 	Failed    int `json:"failed"`
 	MemoSpan  int `json:"memo_seeded"`
@@ -102,10 +106,10 @@ func (c *Campaign) Snapshot(withSpans bool) Snapshot {
 		ElapsedNS: elapsed.Nanoseconds(),
 		Workers:   c.workers,
 
-		Enqueued: len(c.spans),
-		Queued:   c.byState[StateQueued],
-		Running:  c.byState[StateRunning],
-		Retrying: c.byState[StateRetrying],
+		Enqueued:  len(c.spans),
+		Queued:    c.byState[StateQueued],
+		Running:   c.byState[StateRunning],
+		Retrying:  c.byState[StateRetrying],
 		Done:      c.byState[StateDone],
 		Failed:    c.byState[StateFailed],
 		MemoSpan:  c.byState[StateMemoHit],
@@ -145,9 +149,9 @@ func (c *Campaign) Snapshot(withSpans bool) Snapshot {
 			SlowestID: a.slowestID, SlowestFS: a.slowestFS,
 		})
 	}
-	for i, class := range LatencyClasses {
-		if c.latency[i].Count() > 0 {
-			snap.LatencyHists = append(snap.LatencyHists, LatencyClassSnapshot{Class: class, Hist: c.latency[i]})
+	for _, class := range txntrace.CampaignClasses() {
+		if c.latency[class].Count() > 0 {
+			snap.LatencyHists = append(snap.LatencyHists, LatencyClassSnapshot{Class: class.String(), Hist: c.latency[class]})
 		}
 	}
 

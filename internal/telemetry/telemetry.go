@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/txntrace"
 )
 
 // State is a span's position in the job lifecycle. A span is in exactly
@@ -148,9 +149,9 @@ type Campaign struct {
 	complete bool
 
 	// latency holds the campaign-wide service-time histograms (core
-	// cycles), one per LatencyClasses entry; txn the per-class
-	// transaction-tracer rollups in first-seen order.
-	latency  [4]stats.Histogram
+	// cycles) of the txntrace.CampaignClasses, indexed by class; txn the
+	// per-class transaction-tracer rollups in first-seen order.
+	latency  [txntrace.NumClasses]stats.Histogram
 	txn      map[string]*txnAgg
 	txnOrder []string
 

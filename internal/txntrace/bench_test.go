@@ -34,6 +34,16 @@ func BenchmarkTxnTraceDisabled(b *testing.B) {
 	}
 }
 
+// BenchmarkTxnTraceTreeless is the same sequence on the tree-less
+// tracer a ledger-only run attaches: two frame pushes and pops plus two
+// histogram records, no allocation (TestTreelessTracerAllocatesNothing).
+func BenchmarkTxnTraceTreeless(b *testing.B) {
+	t := &Tracer{K: -1}
+	for i := 0; i < b.N; i++ {
+		traceOneMiss(t, i)
+	}
+}
+
 // BenchmarkTxnTraceEnabled is the same sequence with exemplar capture
 // armed (the always-on mode every -txn-trace/-explain-tail run pays for
 // every transaction, not just retained ones).

@@ -1,26 +1,29 @@
-// Package txntrace is request-scoped causal tracing for individual
-// memory transactions: one sampled CC/INC miss, STR queue access or DMA
-// command gets a trace ID and a tree of hops recorded at the same
-// charge sites the cycle ledger instruments — L1 miss issue, snoop
-// fan-out, owner intervention or L2 access, NoC transfers, DRAM channel
-// service — each hop carrying its sim-time interval, component, and
-// outcome tag.
-//
-// Two capture modes run together, both deterministic:
+// Package txntrace is the memory system's one observer. The hooks that
+// bracket every miss, line fill and DMA command record each
+// transaction's latency into its class histogram at End (the report's
+// Latency block), whether or not a tree is captured. A traced
+// transaction also gets a trace ID and a tree of hops — L1 miss issue,
+// snoop fan-out, owner intervention or L2 access, NoC transfers, DRAM
+// channel service — each with its sim-time interval, component, and
+// outcome tag. Two capture modes keep trees, both deterministic:
 //
 //   - Sampled capture keeps the full tree of every transaction whose
 //     (serial, seed) hash selects it, so re-runs at the same seed trace
 //     the exact same transactions.
-//   - Worst-K exemplar reservoirs (always on) keep the K slowest
+//   - Worst-K exemplar reservoirs (unless K < 0) keep the K slowest
 //     complete trees per latency class, so the tail of every histogram
 //     is explained without tracing everything.
 //
+// With both off, Begin allocates no tree: the machine attaches such a
+// tree-less Tracer when only the cycle ledger asks for histograms.
+//
 // Like the ledger and the probe, a Tracer is a run-scoped observer
 // behind the repo's nil-sentinel pattern: every hook is safe on a nil
-// receiver, costs one nil compare when tracing is off, and only ever
-// reads simulated clocks — attaching a Tracer never changes a report.
-// Model code runs single-threaded in event order, so the Tracer needs
-// no locks; reading results is safe once the run has finished.
+// receiver, costs one nil compare when no observer is attached, and
+// only ever reads simulated clocks — attaching a Tracer never changes
+// a report. A Tracer observes exactly one run; it needs no locks
+// (model code runs single-threaded in event order), and reading
+// results is safe once the run has finished.
 package txntrace
 
 import (
@@ -28,14 +31,20 @@ import (
 	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
-// Class is a transaction latency class. The classes mirror the cycle
-// ledger's latency histograms, plus Prefetch for hardware-prefetch
-// fills that the ledger deliberately excludes from ReadMiss.
+// Class is a latency class: the one enum behind the transaction
+// classes, the report's histograms and the campaign's headline classes.
 type Class uint8
 
-// The transaction latency classes.
+// The latency classes. ReadMiss/WriteMiss are first-level demand
+// misses (CC/INC L1, STR 8 KB cache), issue to data available.
+// L2Hit/DRAMFill split uncore line reads by where the data came from.
+// DMAGet/DMAPut are whole DMA commands, enqueue to last beat, queuing
+// included. Prefetch fills are transactions kept out of the report, so
+// ReadMiss counts demand misses only. NoCAcquire is a bus or crossbar
+// arbitration wait: a histogram only, never a transaction.
 const (
 	ReadMiss Class = iota
 	WriteMiss
@@ -44,7 +53,8 @@ const (
 	DMAGet
 	DMAPut
 	Prefetch
-	numClasses
+	NoCAcquire
+	NumClasses
 )
 
 // String returns the class name used in exports and metrics labels.
@@ -64,18 +74,26 @@ func (c Class) String() string {
 		return "dma_put"
 	case Prefetch:
 		return "prefetch"
+	case NoCAcquire:
+		return "noc_acquire"
 	}
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// Classes lists every class in declaration order (export iteration).
+// Classes lists the transaction classes in export order.
 func Classes() []Class {
-	out := make([]Class, numClasses)
-	for i := range out {
-		out[i] = Class(i)
-	}
-	return out
+	return []Class{ReadMiss, WriteMiss, L2Hit, DRAMFill, DMAGet, DMAPut, Prefetch}
 }
+
+// ReportClasses lists the report's histogram classes in export order.
+func ReportClasses() []Class {
+	return []Class{ReadMiss, WriteMiss, L2Hit, DRAMFill, DMAGet, DMAPut, NoCAcquire}
+}
+
+// CampaignClasses lists the headline classes campaign telemetry
+// aggregates across runs — the paper's CC miss and STR DMA service
+// times — in render order.
+func CampaignClasses() []Class { return []Class{ReadMiss, WriteMiss, DMAGet, DMAPut} }
 
 // Hop is one recorded interval within a transaction: a charge site the
 // request passed through. AdvanceFS is the hop's critical-path
@@ -102,11 +120,11 @@ const (
 	maxTags = 16
 )
 
-// Txn is one transaction tree: the root interval, the hops recorded
-// while it was the active transaction, and nested sub-transactions
-// (an uncore line fill inside a CC miss, the beats of a DMA command).
-// All methods are nil-receiver safe so instrumentation sites need no
-// guards beyond the Tracer's own.
+// Txn is one captured transaction tree: the root interval, the hops
+// recorded while it was the active transaction, and nested
+// sub-transactions (an uncore line fill inside a CC miss, the beats of
+// a DMA command). All methods are nil-receiver safe so instrumentation
+// sites need no guards beyond the Tracer's own.
 type Txn struct {
 	ID      uint64
 	Class   Class
@@ -123,7 +141,6 @@ type Txn struct {
 
 	parent  *Txn
 	sampled bool
-	root    bool
 }
 
 // Latency returns the transaction's end-to-end latency.
@@ -137,14 +154,6 @@ func (x *Txn) Latency() sim.Time {
 // Sampled reports whether the deterministic sampler selected this
 // transaction (exemplar-only trees return false).
 func (x *Txn) Sampled() bool { return x != nil && x.sampled }
-
-// SetClass reclassifies the transaction; the uncore uses it to turn a
-// provisional l2_hit into a dram_fill once the L2 lookup misses.
-func (x *Txn) SetClass(c Class) {
-	if x != nil {
-		x.Class = c
-	}
-}
 
 // AddTag appends an outcome tag ("mesi=I->E", "src=owner_remote",
 // "retry", ...). Tags beyond the cap are dropped silently — they are
@@ -233,13 +242,23 @@ const DefaultK = 4
 // trees are counted, not kept; the CLIs surface the count once.
 const defaultKeptCap = 1 << 16
 
-// Tracer records transaction trees for one run. Configure the exported
-// knobs before the run starts; attach via core.Config.TxnTrace. The
-// zero knobs mean: sampling off, DefaultK exemplars per class.
+// Frame is one open transaction: its class and start time, which End
+// records, plus its tree when one is captured. BeginDetached hands it
+// to the owner of a long-lived transaction.
+type Frame struct {
+	class Class
+	start sim.Time
+	txn   *Txn // nil when no tree is captured
+}
+
+// Tracer observes one run's memory transactions: it records the
+// latency histograms and captures transaction trees. Configure the
+// exported knobs before the run starts; attach via core.Config.TxnTrace.
+// The zero knobs mean: sampling off, DefaultK exemplars per class.
 type Tracer struct {
 	// SampleEvery keeps the full tree of roughly 1-in-N root
 	// transactions, selected by a deterministic hash of (serial, Seed).
-	// 0 disables sampled capture; exemplar capture is always on.
+	// 0 disables sampled capture (exemplar capture follows K).
 	SampleEvery uint64
 	// Seed salts the sampling hash so different seeds trace different
 	// (but per-seed reproducible) transaction populations.
@@ -252,9 +271,9 @@ type Tracer struct {
 
 	serial     uint64
 	nextID     uint64
-	stack      []*Txn
-	reservoirs [numClasses]reservoir
-	counts     [numClasses]uint64
+	stack      []Frame
+	hists      [NumClasses]stats.Histogram
+	reservoirs [NumClasses]reservoir
 	kept       []*Txn
 	dropped    uint64
 }
@@ -300,55 +319,62 @@ func (t *Tracer) sampleRoot() bool {
 	return splitmix64(t.serial^t.Seed)%t.SampleEvery == 0
 }
 
-// newTxn allocates a transaction shell.
-func (t *Tracer) newTxn(class Class, core int, addr uint64, at sim.Time) *Txn {
+// open starts a transaction. A root consumes a sampling serial; a
+// nested one inherits its parent's sampled bit. The tree is allocated
+// only when something can retain it: an exemplar reservoir, or the
+// sampler.
+func (t *Tracer) open(class Class, core int, addr uint64, at sim.Time, parent *Txn, root bool) Frame {
 	t.nextID++
-	return &Txn{ID: t.nextID, Class: class, Core: core, Addr: addr, StartFS: at}
+	sampled := parent.Sampled()
+	if root {
+		sampled = t.sampleRoot()
+	}
+	f := Frame{class: class, start: at}
+	if sampled || t.kOrDefault() > 0 {
+		f.txn = &Txn{ID: t.nextID, Class: class, Core: core, Addr: addr, StartFS: at, parent: parent, sampled: sampled}
+	}
+	return f
 }
 
 // Begin opens a transaction at the top of the active stack and makes it
 // the target of subsequent Hop calls. With an enclosing transaction
 // active, the new one is a nested sub-transaction (it will attach to
 // its parent when it ends); otherwise it is a root, which consumes a
-// sampling serial. Returns nil on a nil Tracer.
+// sampling serial. It returns the captured tree, nil when none is
+// captured or on a nil Tracer.
 func (t *Tracer) Begin(class Class, core int, addr uint64, at sim.Time) *Txn {
 	if t == nil {
 		return nil
 	}
-	x := t.newTxn(class, core, addr, at)
-	if n := len(t.stack); n > 0 {
-		x.parent = t.stack[n-1]
-		x.sampled = x.parent.sampled
-	} else {
-		x.root = true
-		x.sampled = t.sampleRoot()
+	n := len(t.stack)
+	var parent *Txn
+	if n > 0 {
+		parent = t.stack[n-1].txn
 	}
-	t.stack = append(t.stack, x)
-	return x
+	f := t.open(class, core, addr, at, parent, n == 0)
+	t.stack = append(t.stack, f)
+	return f.txn
 }
 
 // BeginDetached opens a root transaction without activating it: DMA
 // commands live across many engine steps interleaved with other
-// commands, so the DMA engine holds the handle and brackets each beat
+// commands, so the DMA engine holds the Frame and brackets each beat
 // with Resume/Suspend. The detached transaction consumes a sampling
 // serial like any root.
-func (t *Tracer) BeginDetached(class Class, core int, addr uint64, at sim.Time) *Txn {
+func (t *Tracer) BeginDetached(class Class, core int, addr uint64, at sim.Time) Frame {
 	if t == nil {
-		return nil
+		return Frame{}
 	}
-	x := t.newTxn(class, core, addr, at)
-	x.root = true
-	x.sampled = t.sampleRoot()
-	return x
+	return t.open(class, core, addr, at, nil, true)
 }
 
 // Resume makes a detached transaction the active one (nested hooks —
 // uncore, NoC — then attribute to it). Balance with Suspend.
-func (t *Tracer) Resume(x *Txn) {
-	if t == nil || x == nil {
+func (t *Tracer) Resume(f Frame) {
+	if t == nil {
 		return
 	}
-	t.stack = append(t.stack, x)
+	t.stack = append(t.stack, f)
 }
 
 // Suspend deactivates the most recently resumed transaction without
@@ -361,54 +387,85 @@ func (t *Tracer) Suspend() {
 }
 
 // Hop records one interval against the active transaction (no-op when
-// none is active).
+// none is active or its tree is not captured).
 func (t *Tracer) Hop(component, op string, start, end sim.Time) {
 	t.HopTag(component, op, start, end, "")
 }
 
 // HopTag is Hop with an outcome tag.
 func (t *Tracer) HopTag(component, op string, start, end sim.Time, tag string) {
-	if t == nil || len(t.stack) == 0 {
-		return
+	if x := t.Active(); x != nil {
+		x.addHop(Hop{Component: component, Op: op, StartFS: start, EndFS: end, Tag: tag})
 	}
-	t.stack[len(t.stack)-1].addHop(Hop{Component: component, Op: op, StartFS: start, EndFS: end, Tag: tag})
 }
 
-// Active returns the transaction currently receiving hops (nil when
-// none, or on a nil Tracer).
+// Active returns the tree of the transaction currently receiving hops
+// (nil when none is active, its tree is not captured, or on a nil
+// Tracer).
 func (t *Tracer) Active() *Txn {
 	if t == nil || len(t.stack) == 0 {
 		return nil
 	}
-	return t.stack[len(t.stack)-1]
+	return t.stack[len(t.stack)-1].txn
 }
 
-// End closes the active transaction at the given completion time,
-// finalizes its per-hop attribution, offers it to its class reservoir
-// and — for sampled roots — retains the tree. Nested transactions
-// attach to their parent as both a child tree and an aggregate hop, so
-// the parent's conservation covers them.
+// Capturing reports whether the active transaction's tree is being
+// captured. Sites that format a hop tag check it first, so runs that
+// keep no trees never pay for the formatting.
+func (t *Tracer) Capturing() bool { return t.Active() != nil }
+
+// SetClass reclassifies the active transaction; the uncore uses it to
+// turn a provisional l2_hit into a dram_fill once the L2 lookup misses.
+// The histogram records the final class at End.
+func (t *Tracer) SetClass(c Class) {
+	if t == nil || len(t.stack) == 0 {
+		return
+	}
+	f := &t.stack[len(t.stack)-1]
+	f.class = c
+	if f.txn != nil {
+		f.txn.Class = c
+	}
+}
+
+// RecordNoCAcquire records one bus or crossbar arbitration wait into
+// the NoCAcquire histogram.
+func (t *Tracer) RecordNoCAcquire(wait sim.Time) {
+	if t != nil {
+		t.hists[NoCAcquire].Record(uint64(wait))
+	}
+}
+
+// End closes the active transaction at the given completion time and
+// records its latency under its final class. A captured tree is then
+// finalized, offered to its class reservoir and — for sampled roots —
+// retained; nested trees attach to their parent as both a child tree
+// and an aggregate hop, so the parent's conservation covers them.
 func (t *Tracer) End(at sim.Time) {
 	if t == nil || len(t.stack) == 0 {
 		return
 	}
-	x := t.stack[len(t.stack)-1]
+	f := t.stack[len(t.stack)-1]
 	t.stack = t.stack[:len(t.stack)-1]
-	t.finish(x, at)
+	t.finish(f, at)
 }
 
 // EndDetached closes a detached transaction (which must not be on the
 // active stack — the DMA engine suspends it between beats).
-func (t *Tracer) EndDetached(x *Txn, at sim.Time) {
-	if t == nil || x == nil {
+func (t *Tracer) EndDetached(f Frame, at sim.Time) {
+	if t == nil {
 		return
 	}
-	t.finish(x, at)
+	t.finish(f, at)
 }
 
-func (t *Tracer) finish(x *Txn, at sim.Time) {
+func (t *Tracer) finish(f Frame, at sim.Time) {
+	t.hists[f.class].Record(uint64(at - f.start))
+	x := f.txn
+	if x == nil {
+		return
+	}
 	x.finalize(at)
-	t.counts[x.Class]++
 	if t.kOrDefault() > 0 {
 		r := &t.reservoirs[x.Class]
 		r.k = t.kOrDefault()
@@ -438,18 +495,29 @@ func (t *Tracer) finish(x *Txn, at sim.Time) {
 
 // Exemplars returns the worst-K reservoir of one class, slowest first.
 func (t *Tracer) Exemplars(c Class) []*Txn {
-	if t == nil || c >= numClasses {
+	if t == nil || c >= NumClasses {
 		return nil
 	}
 	return t.reservoirs[c].txs
 }
 
-// Count returns how many transactions of a class completed.
+// Count returns how many observations of a class were recorded:
+// completed transactions, or NoC arbitration waits.
 func (t *Tracer) Count(c Class) uint64 {
-	if t == nil || c >= numClasses {
+	if t == nil || c >= NumClasses {
 		return 0
 	}
-	return t.counts[c]
+	return t.hists[c].Count()
+}
+
+// Histogram returns the latency histogram of one class in femtoseconds
+// (nil on a nil Tracer). The histogram belongs to the Tracer; read it
+// once the run has finished.
+func (t *Tracer) Histogram(c Class) *stats.Histogram {
+	if t == nil || c >= NumClasses {
+		return nil
+	}
+	return &t.hists[c]
 }
 
 // Kept returns the sampled transaction trees in (start, ID) order.

@@ -23,16 +23,17 @@ func TestNilTracerSafe(t *testing.T) {
 	tr.Hop("l1", "lookup", 100, 110)
 	tr.HopTag("noc", "bus_data", 110, 120, "wait=0")
 	tr.Suspend()
-	tr.Resume(nil)
+	tr.Resume(tr.BeginDetached(DMAGet, 0, 0x2000, 100))
+	tr.SetClass(WriteMiss)
+	tr.RecordNoCAcquire(5)
 	tr.End(200)
-	tr.EndDetached(nil, 200)
-	if tr.Active() != nil || tr.Kept() != nil || tr.Summary() != nil {
+	tr.EndDetached(Frame{}, 200)
+	if tr.Active() != nil || tr.Capturing() || tr.Kept() != nil || tr.Summary() != nil || tr.Histogram(ReadMiss) != nil {
 		t.Fatal("nil tracer leaked state")
 	}
 	if tr.Count(ReadMiss) != 0 || tr.DroppedSampled() != 0 || tr.Trees() != 0 {
 		t.Fatal("nil tracer reported nonzero counters")
 	}
-	x.SetClass(WriteMiss)
 	x.AddTag("tag")
 	if x.Latency() != 0 || x.Sampled() {
 		t.Fatal("nil Txn reported state")
@@ -117,7 +118,7 @@ func TestNestedChildAttach(t *testing.T) {
 	root := tr.Begin(ReadMiss, 0, 0x100, 0)
 	tr.Hop("noc", "bus_control", 0, 10)
 	kid := tr.Begin(L2Hit, 0, 0x100, 10)
-	kid.SetClass(DRAMFill)
+	tr.SetClass(DRAMFill)
 	tr.Hop("dram", "read", 10, 500)
 	tr.End(510) // kid
 	tr.End(520) // root
@@ -138,8 +139,11 @@ func TestNestedChildAttach(t *testing.T) {
 		t.Fatalf("aggregate hop = %+v", agg)
 	}
 	sumAdvance(t, root)
-	if tr.Count(DRAMFill) != 1 || tr.Count(ReadMiss) != 1 {
-		t.Fatal("class counts missing the nested transaction")
+	if tr.Count(DRAMFill) != 1 || tr.Count(ReadMiss) != 1 || tr.Count(L2Hit) != 0 {
+		t.Fatal("class counts missing the nested transaction or its final class")
+	}
+	if kid.Class != DRAMFill {
+		t.Fatalf("reclassified child kept class %v", kid.Class)
 	}
 	// Only the root is retained as a sampled tree; the child lives
 	// inside it.
@@ -347,5 +351,69 @@ func TestMergeChrome(t *testing.T) {
 		if len(f.Steps) < 2 {
 			t.Fatalf("flow %d has %d steps, want >= 2", f.ID, len(f.Steps))
 		}
+	}
+}
+
+// treeless is the tracer the machine attaches when only the cycle
+// ledger is armed: no exemplars, no sampling, so no tree is ever kept.
+func treeless() *Tracer { return &Tracer{K: -1} }
+
+// TestHistogramsIndependentOfCapture: the histograms record every
+// transaction at End from its start and final class, so a tree-less
+// tracer, an exemplar tracer and a sampling tracer agree bucket for
+// bucket — the property the report's Latency block relies on.
+func TestHistogramsIndependentOfCapture(t *testing.T) {
+	drive := func(tr *Tracer) {
+		for i := 0; i < 256; i++ {
+			traceOneMiss(tr, i)
+			tr.SetClass(DMAGet) // no active transaction: a no-op
+			f := tr.BeginDetached(DMAPut, 0, 0x80, sim.Time(i))
+			tr.Resume(f)
+			tr.Begin(L2Hit, 0, 0x80, sim.Time(i)+1)
+			tr.SetClass(DRAMFill)
+			tr.End(sim.Time(i) + 9 + sim.Time(i%5))
+			tr.Suspend()
+			tr.EndDetached(f, sim.Time(2*i)+40)
+			tr.RecordNoCAcquire(sim.Time(i % 7))
+		}
+	}
+	sampled := New()
+	sampled.K, sampled.SampleEvery = -1, 3
+	tracers := []*Tracer{treeless(), New(), sampled}
+	for _, tr := range tracers {
+		drive(tr)
+	}
+	for _, c := range ReportClasses() {
+		want := tracers[0].Histogram(c)
+		for _, tr := range tracers[1:] {
+			if got := tr.Histogram(c); *got != *want {
+				t.Errorf("%v: histogram differs with capture settings %+v", c, *tr)
+			}
+		}
+	}
+	if l2, fill := tracers[0].Count(L2Hit), tracers[0].Count(DRAMFill); l2 != 256 || fill != 256 {
+		t.Errorf("l2_hit/dram_fill counts = %d/%d, want 256/256 (reclassified at End)", l2, fill)
+	}
+	if tracers[0].Trees() != 0 || len(tracers[2].Kept()) == 0 {
+		t.Error("tree-less tracer kept trees, or the sampler kept none")
+	}
+}
+
+// TestTreelessTracerAllocatesNothing: with no exemplar reservoir and no
+// sampler nothing can retain a tree, so the miss hook sequence —
+// histograms included — must not allocate. This is what keeps
+// ledger-only runs free of tracing cost.
+func TestTreelessTracerAllocatesNothing(t *testing.T) {
+	tr := treeless()
+	traceOneMiss(tr, 0) // grow the active stack once
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		traceOneMiss(tr, i)
+		i++
+	}); allocs != 0 {
+		t.Fatalf("tree-less miss hooks allocate %.1f times per transaction", allocs)
+	}
+	if tr.Count(ReadMiss) == 0 || tr.Count(L2Hit) == 0 {
+		t.Fatal("tree-less tracer recorded no latencies")
 	}
 }

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/dram"
-	"repro/internal/ledger"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/sim"
@@ -81,8 +80,7 @@ type Uncore struct {
 	l2Ports []*sim.Server
 	drams   []*dram.Channel
 	stats   Stats
-	lat     *ledger.Latency  // nil = latency histograms disabled
-	txn     *txntrace.Tracer // nil = transaction tracing disabled
+	obs     *txntrace.Tracer // nil = no observer attached
 }
 
 // New builds the shared hierarchy on the given network.
@@ -128,12 +126,12 @@ func (u *Uncore) l2For(a mem.Addr) *cache.Cache { return u.l2s[u.bankOf(a)] }
 // service interval as a hop on the active transaction.
 func (u *Uncore) dramAccess(at sim.Time, a mem.Addr, nbytes uint64, write bool) sim.Time {
 	done := u.drams[u.chanOf(a)].Access(at, a, nbytes, write)
-	if u.txn != nil {
+	if u.obs.Capturing() {
 		op := "read"
 		if write {
 			op = "write"
 		}
-		u.txn.HopTag("dram", op, at, done, fmt.Sprintf("ch%d", u.chanOf(a)))
+		u.obs.HopTag("dram", op, at, done, fmt.Sprintf("ch%d", u.chanOf(a)))
 	}
 	return done
 }
@@ -206,12 +204,9 @@ func (u *Uncore) AvgChannelUtilization(end sim.Time) float64 {
 // Stats returns a snapshot of the uncore counters.
 func (u *Uncore) Stats() Stats { return u.stats }
 
-// SetLatency attaches the run's service-time histograms (nil disables
-// recording).
-func (u *Uncore) SetLatency(l *ledger.Latency) { u.lat = l }
-
-// SetTxnTrace attaches the run's transaction tracer (nil disables it).
-func (u *Uncore) SetTxnTrace(t *txntrace.Tracer) { u.txn = t }
+// SetObserver attaches the run's transaction observer: latency
+// histograms and transaction trees (nil detaches it).
+func (u *Uncore) SetObserver(t *txntrace.Tracer) { u.obs = t }
 
 // L2PortBusy returns the total time the L2 ports were occupied (summed
 // across banks).
@@ -231,12 +226,12 @@ func (u *Uncore) Config() Config { return u.cfg }
 func (u *Uncore) l2Access(at sim.Time, a mem.Addr) sim.Time {
 	start := u.l2Ports[u.bankOf(a)].Acquire(at, u.cfg.L2Latency)
 	done := start + u.cfg.L2Latency
-	if u.txn != nil {
+	if u.obs.Capturing() {
 		tag := ""
 		if start > at {
 			tag = fmt.Sprintf("port_wait=%dfs", start-at)
 		}
-		u.txn.HopTag("l2", "access", at, done, tag)
+		u.obs.HopTag("l2", "access", at, done, tag)
 	}
 	return done
 }
@@ -258,7 +253,7 @@ func (u *Uncore) ReadLine(at sim.Time, cluster int, a mem.Addr) (done sim.Time, 
 	// hit, reclassified once the tag lookup misses. Nested inside a CC
 	// miss or DMA beat it attaches to that parent; standalone callers
 	// (e.g. gather-buffer flushes) make it a root.
-	x := u.txn.Begin(txntrace.L2Hit, cluster, uint64(a), at)
+	x := u.obs.Begin(txntrace.L2Hit, cluster, uint64(a), at)
 	t := u.net.ToGlobal(at, cluster, ctrlMsgBytes)
 	t = u.l2Access(t, a)
 	if ln := u.l2For(a).Access(a, false); ln != nil {
@@ -267,23 +262,17 @@ func (u *Uncore) ReadLine(at sim.Time, cluster int, a mem.Addr) (done sim.Time, 
 			t = ln.FillDone
 		}
 		done = u.net.FromGlobal(t, cluster, mem.LineSize)
-		if u.lat != nil {
-			u.lat.L2Hit.Record(uint64(done - at))
-		}
 		x.AddTag("l2=hit")
-		u.txn.End(done)
+		u.obs.End(done)
 		return done, true
 	}
-	x.SetClass(txntrace.DRAMFill)
+	u.obs.SetClass(txntrace.DRAMFill)
 	x.AddTag("l2=miss")
 	t = u.dramAccess(t, a.Line(), mem.LineSize, false)
 	_, ev := u.l2For(a).Insert(a, cache.Exclusive, t)
 	u.evictL2(t, ev)
 	done = u.net.FromGlobal(t, cluster, mem.LineSize)
-	if u.lat != nil {
-		u.lat.DRAMFill.Record(uint64(done - at))
-	}
-	u.txn.End(done)
+	u.obs.End(done)
 	return done, false
 }
 

@@ -59,7 +59,10 @@ const (
 )
 
 // Config describes one experimental machine; see core.Config for the
-// field documentation.
+// field documentation. Its run-scoped observers (Trace, Probe,
+// FlightRecorder, TxnTrace) live in the embedded core.Observers and
+// read and assign as plain Config fields; they never change a report
+// and are left out of a result's identity.
 type Config = core.Config
 
 // System is an assembled machine.
@@ -73,7 +76,8 @@ type Report = core.Report
 // to a fixed class taxonomy (classes sum exactly to the wall time);
 // LatencySummary carries the memory system's service-time
 // distributions, one LatencyDist of quantiles and power-of-two buckets
-// per metric.
+// per latency class (every TxnClass but prefetch), recorded by the
+// same transaction hooks TxnTrace observes.
 type (
 	CycleSummary   = ledger.Summary
 	LatencySummary = ledger.LatencySummary
@@ -225,11 +229,15 @@ type Probe = probe.Recorder
 // NewProbe returns a recorder sampling every interval of simulated time.
 func NewProbe(interval Time) *Probe { return probe.NewRecorder(interval) }
 
-// TxnTrace records request-scoped causal traces of individual memory
-// transactions: each sampled miss, DMA command or prefetch gets a tree
-// of hops through the hierarchy (L1 → snoop/L2 → NoC → DRAM), plus an
-// always-on worst-K exemplar reservoir per latency class. Attach one
-// via Config.TxnTrace; like Trace and Probe it never changes a report.
+// TxnTrace is the memory system's transaction observer. It records
+// request-scoped causal traces of individual memory transactions: each
+// sampled miss, DMA command or prefetch gets a tree of hops through the
+// hierarchy (L1 → snoop/L2 → NoC → DRAM), plus a worst-K exemplar
+// reservoir per latency class. The same hooks record the latency
+// histograms of the Report's Latency block (with Config.CycleLedger the
+// machine attaches a tree-less one when TxnTrace is nil). Attach one
+// via Config.TxnTrace; like Trace and Probe it never changes a report,
+// and it observes exactly one run.
 type TxnTrace = txntrace.Tracer
 
 // Txn is one recorded transaction tree; TxnHop one interval within it.
@@ -238,8 +246,9 @@ type (
 	TxnHop = txntrace.Hop
 )
 
-// TxnClass is a transaction latency class (read_miss, write_miss,
-// l2_hit, dram_fill, dma_get, dma_put, prefetch).
+// TxnClass is a latency class: the seven transaction classes
+// (read_miss, write_miss, l2_hit, dram_fill, dma_get, dma_put,
+// prefetch) plus noc_acquire, which is a histogram only.
 type TxnClass = txntrace.Class
 
 // NewTxnTrace returns a tracer with worst-K exemplar capture on and

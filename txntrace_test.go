@@ -10,10 +10,13 @@ import (
 )
 
 // reportBytes runs one workload/model pair and returns the full report
-// as JSON. arm configures the run's transaction tracer (nil = off).
-func reportBytes(t *testing.T, model memsys.Model, name string, arm func() *memsys.TxnTrace) []byte {
+// as JSON. ledger arms the cycle ledger (the report then carries the
+// Cycles and Latency blocks); arm configures the run's transaction
+// tracer (nil = off).
+func reportBytes(t *testing.T, model memsys.Model, name string, ledger bool, arm func() *memsys.TxnTrace) []byte {
 	t.Helper()
 	cfg := memsys.DefaultConfig(model, 2)
+	cfg.CycleLedger = ledger
 	if arm != nil {
 		cfg.TxnTrace = arm()
 	}
@@ -31,7 +34,9 @@ func reportBytes(t *testing.T, model memsys.Model, name string, arm func() *mems
 // TestTxnTraceDoesNotPerturbReports is the zero-perturbation gate:
 // every shipped workload on every model must produce byte-identical
 // reports with tracing off, with sampled capture on, and with exemplar
-// capture on. The tracer only ever reads simulated clocks; any
+// capture on — with the cycle ledger off, and with it on, where the
+// Latency block's histograms must not depend on whether transaction
+// trees are captured. The tracer only ever reads simulated clocks; any
 // divergence here means a hook leaked time or state into the model.
 func TestTxnTraceDoesNotPerturbReports(t *testing.T) {
 	sampled := func() *memsys.TxnTrace {
@@ -41,14 +46,19 @@ func TestTxnTraceDoesNotPerturbReports(t *testing.T) {
 		return tr
 	}
 	exemplars := func() *memsys.TxnTrace { return memsys.NewTxnTrace() }
-	for _, model := range []memsys.Model{memsys.CC, memsys.STR, memsys.INC} {
-		for _, name := range memsys.Workloads() {
-			off := reportBytes(t, model, name, nil)
-			if on := reportBytes(t, model, name, sampled); !bytes.Equal(off, on) {
-				t.Errorf("%v/%s: sampled tracing changed the report", model, name)
-			}
-			if on := reportBytes(t, model, name, exemplars); !bytes.Equal(off, on) {
-				t.Errorf("%v/%s: exemplar tracing changed the report", model, name)
+	for _, ledger := range []bool{false, true} {
+		for _, model := range []memsys.Model{memsys.CC, memsys.STR, memsys.INC} {
+			for _, name := range memsys.Workloads() {
+				off := reportBytes(t, model, name, ledger, nil)
+				if ledger && !bytes.Contains(off, []byte(`"Latency":{`)) {
+					t.Errorf("%v/%s: ledger-armed report has no Latency block", model, name)
+				}
+				if on := reportBytes(t, model, name, ledger, sampled); !bytes.Equal(off, on) {
+					t.Errorf("%v/%s ledger=%v: sampled tracing changed the report", model, name, ledger)
+				}
+				if on := reportBytes(t, model, name, ledger, exemplars); !bytes.Equal(off, on) {
+					t.Errorf("%v/%s ledger=%v: exemplar tracing changed the report", model, name, ledger)
+				}
 			}
 		}
 	}
