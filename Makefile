@@ -1,6 +1,6 @@
 # Tier-1 verification and CI entry points (see ROADMAP.md).
 
-.PHONY: verify build test race fault bench bench-engine bench-check paperbench-determinism profile perfbench-build
+.PHONY: verify build test race fault bench bench-engine bench-check paperbench-determinism paperbench-golden profile perfbench-build
 
 # verify is the tier-1 gate: build + full test suite.
 verify: build test
@@ -84,3 +84,11 @@ paperbench-determinism:
 	go run ./cmd/paperbench -only fig2 -scale small -q -j 1 > /tmp/pb-j1.txt
 	go run ./cmd/paperbench -only fig2 -scale small -q -j 8 > /tmp/pb-j8.txt
 	cmp /tmp/pb-j1.txt /tmp/pb-j8.txt && echo "fig2 output identical at -j 1 and -j 8"
+
+# paperbench-golden runs the full default-scale campaign and compares it
+# byte for byte with the checked-in paperbench_default.txt (~31 s at
+# -j 2 on a 2-CPU host). TestSmallCampaignGolden holds the small-scale
+# campaign to paperbench_small.txt inside `go test`.
+paperbench-golden:
+	go run ./cmd/paperbench -q -j 2 > /tmp/pb-default.txt
+	cmp /tmp/pb-default.txt paperbench_default.txt && echo "default campaign identical to paperbench_default.txt"

@@ -169,38 +169,13 @@ type Workload interface {
 	Verify() error
 }
 
-// InlineWorkload is an optional Workload extension: a workload that can
-// express a core's body as a resumable state machine (sim.Runnable)
-// returns it from InlineBody, and the system runs that core as an
-// inline task — its events dispatch as plain function calls, with no
-// goroutine. The machine must yield exactly where the goroutine body
-// would sync or block, which keeps the schedule identical. Returning
-// nil falls back to the goroutine path for that core (the memory model
-// is already bound when InlineBody is called, so the workload can
-// decide per model).
+// InlineWorkload is a retired Workload extension: a workload offered a
+// core's body as a resumable state machine (sim.Runnable) through
+// InlineBody. System.Run no longer consults it — every core runs its
+// workload's Run as a coroutine, and only the DMA engines are inline
+// tasks. The declaration stays because perfbench/jobs.go names it.
 type InlineWorkload interface {
 	InlineBody(p *cpu.Proc) sim.Runnable
-}
-
-// inlineCore chains a workload's body machine with the model's finish
-// sequence — the inline twin of the spawned closure `w.Run(p);
-// p.Finish()`. The transition happens inside one Step, so no yield
-// separates the body's last event from the finish drain, exactly as in
-// the goroutine body.
-type inlineCore struct {
-	body sim.Runnable
-	fin  sim.Runnable
-}
-
-func (c *inlineCore) Step(t *sim.Task) sim.Status {
-	if c.body != nil {
-		s := c.body.Step(t)
-		if s != sim.StatusDone {
-			return s
-		}
-		c.body = nil
-	}
-	return c.fin.Step(t)
 }
 
 // New assembles a machine. It panics when the configuration is invalid;
@@ -379,29 +354,17 @@ func (s *System) Run(w Workload) (rep *Report, err error) {
 		name := fmt.Sprintf("core%d", i)
 		p := s.procs[i]
 		p.SetTracer(s.cfg.Trace)
+		var m cpu.ProcMem
 		switch s.cfg.Model {
 		case CC:
-			p.BindMem(s.dom.Mem(i))
+			m = s.dom.Mem(i)
 		case STR:
-			p.BindMem(s.strs[i])
+			m = s.strs[i]
 		case INC:
-			p.BindMem(s.inc.Mem(i))
-		}
-		// A workload that can run this core as a state machine gets an
-		// inline task (zero goroutine switches per event); currently only
-		// the streaming model has an inline finish sequence, so other
-		// models stay goroutine-backed even if a body is offered.
-		var body sim.Runnable
-		if iw, ok := w.(InlineWorkload); ok && s.cfg.Model == STR {
-			body = iw.InlineBody(p)
-		}
-		if body != nil {
-			p.BindTask(s.eng.SpawnInline(name, 0,
-				&inlineCore{body: body, fin: s.strs[i].NewFinish(p)}))
-			continue
+			m = s.inc.Mem(i)
 		}
 		s.eng.Spawn(name, 0, func(task *sim.Task) {
-			p.BindTask(task)
+			p.Bind(task, m)
 			w.Run(p)
 			p.Finish()
 		})

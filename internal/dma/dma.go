@@ -298,51 +298,28 @@ func (e *Engine) Done(tag Tag) (sim.Time, bool) {
 
 // Wait blocks the calling task until tag completes, returning the
 // completion time. The caller charges the wait to its own sync bucket.
+// A tag that completed and was already collected returns the caller's
+// time without blocking; the engine has room for one waiter.
 func (e *Engine) Wait(caller *sim.Task, tag Tag) sim.Time {
-	if t, ok := e.WaitStart(caller, tag); ok {
-		return t
-	}
-	caller.BlockOn(e.WaitLabel(tag))
-	return e.WaitCollect(tag)
-}
-
-// WaitStart is the non-blocking half of Wait: if tag has already
-// completed it returns (completion time, true); otherwise it registers
-// caller as the engine's waiter and returns (0, false), after which the
-// caller must suspend itself — BlockOn(WaitLabel(tag)) for a
-// goroutine-backed task, or StatusBlocked with WillBlockOn for an
-// inline one — and call WaitCollect once woken.
-func (e *Engine) WaitStart(caller *sim.Task, tag Tag) (sim.Time, bool) {
 	if tag > e.nextTag {
 		panic(fmt.Sprintf("dma: wait for unissued tag %d", tag))
 	}
 	if t, ok := e.done[tag]; ok {
 		delete(e.done, tag)
-		return t, true
+		return t
 	}
 	if tag <= e.lastDone {
-		return caller.Time(), true // completed and already collected
+		return caller.Time() // completed and already collected
 	}
 	if e.waiter != nil {
 		panic("dma: engine " + e.name + " already has a waiter")
 	}
 	e.waiter = caller
 	e.waitingFor = tag
-	return 0, false
-}
-
-// WaitCollect retrieves tag's completion time after a WaitStart that
-// registered the caller (the engine has unblocked it).
-func (e *Engine) WaitCollect(tag Tag) sim.Time {
+	caller.BlockOn(fmt.Sprintf("dma %s tag %d", e.name, tag))
 	t := e.done[tag]
 	delete(e.done, tag)
 	return t
-}
-
-// WaitLabel names the resource a waiter on tag blocks on, for deadlock
-// diagnostics.
-func (e *Engine) WaitLabel(tag Tag) string {
-	return fmt.Sprintf("dma %s tag %d", e.name, tag)
 }
 
 // Stop tells the engine to exit once its queue drains. Must be called

@@ -1,6 +1,7 @@
 package dma
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/lstore"
@@ -227,6 +228,107 @@ func TestWideStridedElementsUseLinePath(t *testing.T) {
 	// passes in real workloads).
 	if occ := unc.L2().Occupancy(); occ == 0 {
 		t.Error("wide strided get did not allocate in the L2")
+	}
+}
+
+// The four Wait outcomes: a tag done but not yet collected, an
+// in-flight tag (block, then collect), a tag already collected, and a
+// second concurrent waiter.
+
+func TestWaitDoneTagCollectsWithoutBlocking(t *testing.T) {
+	var queued, completed, got, after sim.Time
+	e, _ := runDMA(t, func(task *sim.Task, e *Engine) {
+		tag := e.Queue(task.Time(), Get, 0x10000, 256)
+		queued = task.Time()
+		task.AdvanceTo(queued + sim.Millisecond) // long past completion
+		var ok bool
+		if completed, ok = e.Done(tag); !ok {
+			t.Fatal("tag not done a millisecond after queueing")
+		}
+		got = e.Wait(task, tag)
+		after = task.Time()
+		if _, ok := e.Done(tag); ok {
+			t.Error("Wait did not collect the tag")
+		}
+	})
+	if got != completed || got <= queued {
+		t.Errorf("Wait = %v, want the recorded completion %v (queued at %v)", got, completed, queued)
+	}
+	if after != queued+sim.Millisecond {
+		t.Errorf("Wait on a done tag moved the caller to %v", after)
+	}
+	if e.waiter != nil {
+		t.Error("Wait on a done tag registered a waiter")
+	}
+}
+
+func TestWaitInFlightTagBlocksThenCollects(t *testing.T) {
+	var queued, got, woke sim.Time
+	runDMA(t, func(task *sim.Task, e *Engine) {
+		tag := e.Queue(task.Time(), Get, 0x10000, 1024)
+		queued = task.Time()
+		if _, ok := e.Done(tag); ok {
+			t.Fatal("fresh tag reported done")
+		}
+		got = e.Wait(task, tag)
+		woke = task.Time()
+		if _, ok := e.Done(tag); ok {
+			t.Error("Wait did not collect the tag")
+		}
+		if e.waiter != nil {
+			t.Error("waiter still registered after the wake")
+		}
+	})
+	if got <= queued {
+		t.Errorf("Wait = %v, want a completion after the queue time %v", got, queued)
+	}
+	if woke != got {
+		t.Errorf("caller woke at %v, want the completion time %v", woke, got)
+	}
+}
+
+func TestWaitCollectedTagReturnsCallerTime(t *testing.T) {
+	var first, second, at sim.Time
+	runDMA(t, func(task *sim.Task, e *Engine) {
+		tag := e.Queue(task.Time(), Get, 0x10000, 256)
+		first = e.Wait(task, tag)
+		task.AdvanceTo(first + sim.Microsecond)
+		at = task.Time()
+		// Already collected: no done entry, no waiter, no block (a block
+		// here would never be woken and the run would deadlock).
+		second = e.Wait(task, tag)
+		if task.Time() != at {
+			t.Errorf("second Wait moved the caller from %v to %v", at, task.Time())
+		}
+	})
+	if second != at {
+		t.Errorf("second Wait = %v, want the caller's time %v (first completion %v)", second, at, first)
+	}
+}
+
+func TestWaitSecondWaiterPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	unc := uncore.New(uncore.DefaultConfig(), noc.New(noc.DefaultConfig(4)))
+	e := New("dma0", 0, unc, lstore.New(0))
+	e.Spawn(eng, 0)
+	var tag Tag
+	eng.Spawn("first", 0, func(task *sim.Task) {
+		tag = e.Queue(task.Time(), Get, 0x10000, 1024)
+		e.Wait(task, tag)
+	})
+	eng.Spawn("second", 0, func(task *sim.Task) { e.Wait(task, tag) })
+	err := func() (err any) {
+		defer func() { err = recover() }()
+		eng.Run()
+		return nil
+	}()
+	eng.Shutdown()
+	pe, ok := err.(*sim.TaskPanicError)
+	if !ok {
+		t.Fatalf("Run panicked with %#v, want *sim.TaskPanicError", err)
+	}
+	if msg, _ := pe.Value.(string); pe.TaskName != "second" || !strings.Contains(msg, "already has a waiter") {
+		t.Fatalf("panic = %q/%v, want task second and \"already has a waiter\"", pe.TaskName, pe.Value)
 	}
 }
 

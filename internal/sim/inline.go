@@ -66,11 +66,11 @@ func (e *Engine) SpawnInline(name string, start Time, r Runnable) *Task {
 // DriveRunnable runs r to completion on a coroutine task,
 // translating each returned Status into the equivalent blocking call:
 // StatusRunning → Sync, StatusBlocked → Block (with WillBlockOn's
-// label), StatusDone → return. SpawnInline falls back to it when inline
-// execution is disabled (noInline), and model packages use it to run
-// the same state machine in both representations — which makes the
-// inline on/off schedule equivalence hold by construction: both modes
-// execute the identical sequence of Step calls and yields.
+// label), StatusDone → return. It is the noInline twin of an inline
+// task: SpawnInline falls back to it when inline execution is
+// disabled, so both modes execute the identical sequence of Step calls
+// and yields, and the inline on/off schedule equivalence holds by
+// construction.
 func DriveRunnable(t *Task, r Runnable) {
 	for {
 		switch r.Step(t) {
