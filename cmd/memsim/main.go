@@ -232,7 +232,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	explainTail := fs.Bool("explain-tail", false, "print the worst-K transaction trees per latency class with per-hop cycle attribution")
 	sample := fs.String("sample", "", "sample the machine every simulated interval (e.g. 1us, 500ns)")
 	sampleCSV := fs.String("sample-csv", "", "write the per-epoch samples as CSV to this file (requires -sample)")
-	breakdown := fs.Bool("breakdown", false, "enable the cycle ledger and print cycle-accounting and latency-distribution tables")
+	breakdown := fs.Bool("breakdown", false, "print the cycle ledger's cycle-accounting table and the latency-distribution tables, and add both blocks to -json")
 	latencyCSV := fs.String("latency-csv", "", "write the latency histogram buckets as CSV to this file (requires -breakdown)")
 	httpAddr := fs.String("http", "", "serve run telemetry on this address: GET /metrics, /progress, /debug/pprof (empty = off)")
 	httpLinger := fs.Duration("http-linger", 0, "keep -http serving this long after the run finishes (ends early on /quit)")

@@ -17,13 +17,14 @@ import (
 type ErrKind string
 
 const (
-	ErrConfig   ErrKind = "config"   // Config.Validate rejected the job
-	ErrWorkload ErrKind = "workload" // unknown workload name
-	ErrVerify   ErrKind = "verify"   // workload output failed verification
-	ErrDeadlock ErrKind = "deadlock" // engine deadlock (model/workload bug)
-	ErrLivelock ErrKind = "livelock" // simulated time passed MaxSimTime
-	ErrTimeout  ErrKind = "timeout"  // per-job watchdog aborted the run
-	ErrPanic    ErrKind = "panic"    // panic in Setup/model/workload code
+	ErrConfig       ErrKind = "config"       // Config.Validate rejected the job
+	ErrWorkload     ErrKind = "workload"     // unknown workload name
+	ErrVerify       ErrKind = "verify"       // workload output failed verification
+	ErrDeadlock     ErrKind = "deadlock"     // engine deadlock (model/workload bug)
+	ErrLivelock     ErrKind = "livelock"     // simulated time passed MaxSimTime
+	ErrTimeout      ErrKind = "timeout"      // per-job watchdog aborted the run
+	ErrPanic        ErrKind = "panic"        // panic in Setup/model/workload code
+	ErrConservation ErrKind = "conservation" // a core's cycle classes miss its finish time
 )
 
 // JobError is one job's structured failure: which job, how it failed,
@@ -50,10 +51,11 @@ func (e *JobError) Error() string {
 func (e *JobError) Unwrap() error { return e.Err }
 
 // Retryable reports whether re-running the job could plausibly succeed.
-// Deterministic failures (bad config, deadlock, failed verification)
-// will fail identically every time; timeouts and panics may be
-// environmental (an overloaded host, a transient bug) and get another
-// attempt when the Runner has retry budget.
+// Deterministic failures (bad config, deadlock, failed verification,
+// broken cycle conservation) will fail identically every time;
+// timeouts and panics may be environmental (an overloaded host, a
+// transient bug) and get another attempt when the Runner has retry
+// budget.
 func (e *JobError) Retryable() bool { return e.Kind == ErrTimeout || e.Kind == ErrPanic }
 
 // classify wraps a simulation error in a JobError, typing it by the
@@ -65,6 +67,7 @@ func classify(name string, cfg core.Config, err error) *JobError {
 	var ae *sim.AbortError
 	var pe *sim.TaskPanicError
 	var rpe *core.RunPanicError
+	var ce *core.ConservationError
 	switch {
 	case errors.As(err, &de):
 		je.Kind, je.State = ErrDeadlock, &de.State
@@ -76,6 +79,8 @@ func classify(name string, cfg core.Config, err error) *JobError {
 		je.Kind, je.State = ErrPanic, &pe.State
 	case errors.As(err, &rpe):
 		je.Kind = ErrPanic
+	case errors.As(err, &ce):
+		je.Kind = ErrConservation
 	default:
 		// The only remaining System.Run error is Workload.Verify's.
 		je.Kind = ErrVerify

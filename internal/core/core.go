@@ -12,7 +12,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/incoher"
-	"repro/internal/ledger"
 	"repro/internal/mem"
 	"repro/internal/noc"
 	"repro/internal/probe"
@@ -86,15 +85,15 @@ type Config struct {
 	DMAOutstanding  int    // concurrent DMA accesses (default 16)
 	StoreBuffer     int    // store-buffer depth (default 8; 1 = blocking stores)
 
-	// CycleLedger enables the cycle-accounting and latency-distribution
-	// layer (internal/ledger): per-core cycle ledgers with the fixed
-	// class taxonomy plus the memory system's service-time histograms,
-	// recorded by the transaction observer (internal/txntrace; a
-	// tree-less one when TxnTrace is nil). The Report then carries
-	// Cycles and Latency blocks. Off by default: every charge site
-	// degenerates to a nil compare, and the simulated outcome is
-	// identical either way (accounting reads the clocks, it never moves
-	// them). Unlike the Observers it changes the report, so it stays a
+	// CycleLedger publishes the cycle-accounting and latency-
+	// distribution layer (internal/ledger). Every core keeps its cycle
+	// ledger on every run (the Figure 2 breakdown is folded from it);
+	// this option adds the ledger's per-core classes to the Report as
+	// its Cycles block and the probe's "cycles" series, and arms the
+	// transaction observer (internal/txntrace; a tree-less one when
+	// TxnTrace is nil) whose service-time histograms fill the Latency
+	// block. Off by default; the simulated outcome is identical either
+	// way. Unlike the Observers it changes the report, so it stays a
 	// machine field.
 	CycleLedger bool
 
@@ -242,11 +241,6 @@ func New(cfg Config) *System {
 	default:
 		panic("core: unknown model")
 	}
-	if cfg.CycleLedger {
-		for _, p := range s.procs {
-			p.SetLedger(&ledger.Ledger{})
-		}
-	}
 	s.obs = cfg.TxnTrace
 	if s.obs == nil && cfg.CycleLedger {
 		// Histograms only: no exemplars, no sampling, so the hooks
@@ -379,5 +373,8 @@ func (s *System) Run(w Workload) (rep *Report, err error) {
 		s.eng.SetEpoch(s.cfg.Probe.Interval(), s.cfg.Probe.Tick)
 	}
 	s.eng.Run()
-	return s.report(), w.Verify()
+	if rep, err = s.report(); err != nil {
+		return nil, err
+	}
+	return rep, w.Verify()
 }

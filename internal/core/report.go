@@ -72,7 +72,8 @@ type Report struct {
 	// Cycles and Latency are the cycle-accounting layer's blocks,
 	// present only when Config.CycleLedger was set: every core cycle
 	// attributed to the ledger taxonomy (conserving the wall time
-	// exactly), and the memory system's service-time distributions.
+	// exactly; PerCore above folds the same classes), and the memory
+	// system's service-time distributions.
 	Cycles  *ledger.Summary        `json:",omitempty"`
 	Latency *ledger.LatencySummary `json:",omitempty"`
 
@@ -94,8 +95,10 @@ type Report struct {
 	Servers sim.ServerMetrics
 }
 
-// report gathers counters after the engine has drained.
-func (s *System) report() *Report {
+// report gathers counters after the engine has drained. It fails with a
+// *ConservationError when a core's cycle classes do not sum exactly to
+// its finish time.
+func (s *System) report() (*Report, error) {
 	r := &Report{
 		Model:   s.cfg.Model,
 		Cores:   s.cfg.Cores,
@@ -105,7 +108,10 @@ func (s *System) report() *Report {
 		Net:     s.net.Stats(),
 		Unc:     s.unc.Stats(),
 	}
-	for _, p := range s.procs {
+	for i, p := range s.procs {
+		if gap := int64(p.Ledger().Total()) - int64(p.FinishTime()); gap != 0 {
+			return nil, &ConservationError{Core: i, Gap: gap}
+		}
 		bd := p.Breakdown()
 		r.PerCore = append(r.PerCore, bd)
 		if ft := p.FinishTime(); ft > r.Wall {
@@ -187,7 +193,7 @@ func (s *System) report() *Report {
 		r.Cycles = ledger.NewSummary(r.Wall, leds, finish)
 		r.Latency = ledger.NewLatencySummary(s.obs)
 	}
-	return r
+	return r, nil
 }
 
 func (s *System) energyCounts(r *Report) energy.Counts {

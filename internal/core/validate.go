@@ -42,6 +42,19 @@ type RunPanicError struct{ Value any }
 
 func (e *RunPanicError) Error() string { return fmt.Sprintf("core: run panicked: %v", e.Value) }
 
+// ConservationError reports a core whose cycle-ledger classes do not sum
+// exactly to its finish time: code moved the core's clock without
+// charging a class, or charged a class without moving the clock. That
+// is a simulator bug, so it fails the run the same way every time.
+type ConservationError struct {
+	Core int
+	Gap  int64 // classes minus finish time, in femtoseconds
+}
+
+func (e *ConservationError) Error() string {
+	return fmt.Sprintf("core: core %d cycle classes differ from its finish time by %d fs", e.Core, e.Gap)
+}
+
 // Validate checks the configuration before any machine is assembled —
 // and therefore before any goroutine spawns: a config error must be a
 // typed, synchronous result, never a panic out of a half-built engine.

@@ -2,10 +2,12 @@
 // LX-style 3-slot VLIW cores (Table 2) with up to one load/store per
 // instruction, a 16 KB instruction cache, and an 8-entry store buffer
 // that lets loads bypass store misses (weak consistency). The core is
-// pure issue accounting: one VLIW instruction per cycle, with stalls
-// charged to the paper's four execution-time buckets — Useful (which
-// includes fetch and non-memory pipeline stalls, as in Figure 2), Sync,
-// load stalls and store-buffer stalls.
+// pure issue accounting: one VLIW instruction per cycle, with every
+// cycle charged to one class of the core's cycle ledger
+// (internal/ledger). The paper's four execution-time buckets of Figure
+// 2 — Useful (which includes fetch and non-memory pipeline stalls),
+// Sync, load stalls and store-buffer stalls — are a fold over those
+// classes (Breakdown), so the core keeps one time account, not two.
 //
 // A Proc is driven by workload code running on a sim.Task coroutine; the
 // attached ProcMem (the coherent-cache model in internal/coher or the
@@ -58,7 +60,8 @@ type ProcMem interface {
 	Flush(p *Proc) sim.Time
 }
 
-// Breakdown is the Figure 2 execution-time decomposition.
+// Breakdown is the Figure 2 execution-time decomposition, folded from
+// the cycle ledger's classes (Proc.Breakdown).
 type Breakdown struct {
 	Useful     sim.Time // issue + fetch + non-memory pipeline stalls
 	Sync       sim.Time // locks, barriers, waiting for DMA
@@ -132,21 +135,18 @@ type Proc struct {
 	cfg     Config
 	memory  ProcMem
 
-	bd       Breakdown
 	stats    Stats
 	imissAcc uint64
 
-	// led is the fine-grained cycle ledger; nil disables it, leaving one
-	// nil compare per charge site on the hot path (the probe layer's
-	// sentinel pattern; BenchmarkLedgerDisabled gates the cost). Every
-	// bd charge below is mirrored by exactly one ledger charge over the
-	// same duration, which is what makes the conservation invariant
-	// (ledger classes sum to finish time) hold by construction.
-	led *ledger.Ledger
+	// led is the core's one time account. chargeUseful and stallUntil
+	// charge each clock move they make to exactly one class, and
+	// AddSync/AddDMAWait charge the moves callers make themselves, so
+	// the classes sum to the finish time (core.System checks that on
+	// every run).
+	led ledger.Ledger
 	// pfShadow marks that the in-flight stall the memory model just
 	// reported is covered by an earlier prefetch (set via
-	// MarkPrefetchShadow, consumed by the next Load charge). Only ever
-	// set when led != nil.
+	// MarkPrefetchShadow, consumed by the next Load charge).
 	pfShadow bool
 
 	snoopDebt uint64 // snoop probes not yet converted into stall cycles
@@ -180,34 +180,30 @@ func (p *Proc) Bind(task *sim.Task, m ProcMem) {
 // SetTracer attaches a span collector (nil disables tracing).
 func (p *Proc) SetTracer(t Tracer) { p.tracer = t }
 
-// SetLedger attaches a cycle ledger (nil disables accounting).
-func (p *Proc) SetLedger(l *ledger.Ledger) { p.led = l }
-
-// Ledger returns the attached cycle ledger (nil when disabled).
-func (p *Proc) Ledger() *ledger.Ledger { return p.led }
-
-// charge mirrors a breakdown charge into the ledger when enabled.
-func (p *Proc) charge(c ledger.Class, d sim.Time) {
-	if p.led != nil {
-		p.led.Charge(c, d)
-	}
-}
+// Ledger returns the core's cycle ledger (read it; never charge it).
+func (p *Proc) Ledger() *ledger.Ledger { return &p.led }
 
 // MarkPrefetchShadow tells the core that the stall its memory model is
 // about to report comes from a line an earlier prefetch already had in
 // flight, so the next Load charge classifies it as ledger.PrefetchShadow
-// instead of LoadStall. The coherent model's hit path calls it; a no-op
-// when the ledger is disabled.
-func (p *Proc) MarkPrefetchShadow() {
-	if p.led != nil {
-		p.pfShadow = true
-	}
-}
+// instead of LoadStall. The coherent model's hit path calls it.
+func (p *Proc) MarkPrefetchShadow() { p.pfShadow = true }
 
-func (p *Proc) span(name string, start, dur sim.Time) {
-	if p.tracer != nil && dur > 0 {
-		p.tracer.Add(p.id, name, start, dur)
+// stallUntil moves the core's clock forward to t and charges the gap to
+// class c; it does nothing when t is not ahead of the clock. It is the
+// only place in this package that moves a core's clock for a stall
+// (chargeUseful moves it for issue). A non-empty span names the
+// timeline span emitted for the gap.
+func (p *Proc) stallUntil(t sim.Time, c ledger.Class, span string) {
+	now := p.task.Time()
+	if t <= now {
+		return
 	}
+	p.led.Charge(c, t-now)
+	if span != "" && p.tracer != nil {
+		p.tracer.Add(p.id, span, now, t-now)
+	}
+	p.task.SetTime(t)
 }
 
 // SetICache reconfigures the analytic I-cache model (workload Setup
@@ -236,8 +232,19 @@ func (p *Proc) Mem() ProcMem { return p.memory }
 // Now returns the core's local time.
 func (p *Proc) Now() sim.Time { return p.task.Time() }
 
-// Breakdown returns the execution-time decomposition so far.
-func (p *Proc) Breakdown() Breakdown { return p.bd }
+// Breakdown returns the execution-time decomposition so far: the
+// ledger's classes folded into the four Figure 2 buckets. DMA waits
+// count as Sync and prefetch-shadowed load stalls as LoadStall, as the
+// paper counts them.
+func (p *Proc) Breakdown() Breakdown {
+	l := &p.led
+	return Breakdown{
+		Useful:     l.Get(ledger.Compute),
+		Sync:       l.Get(ledger.SyncWait) + l.Get(ledger.DMAWait),
+		LoadStall:  l.Get(ledger.LoadStall) + l.Get(ledger.PrefetchShadow),
+		StoreStall: l.Get(ledger.StoreStall),
+	}
+}
 
 // Stats returns the core's counters.
 func (p *Proc) Stats() Stats { return p.stats }
@@ -268,9 +275,8 @@ func (p *Proc) FinishTime() sim.Time {
 // I-cache model.
 func (p *Proc) chargeUseful(n uint64) {
 	d := p.cfg.Clock.Cycles(n)
+	p.led.Charge(ledger.Compute, d)
 	p.task.Advance(d)
-	p.bd.Useful += d
-	p.charge(ledger.Compute, d)
 	p.stats.Instructions += n
 	p.stats.LocalAccesses += n / 2
 	if p.cfg.InstrPerIMiss == 0 {
@@ -280,9 +286,8 @@ func (p *Proc) chargeUseful(n uint64) {
 	for p.imissAcc >= p.cfg.InstrPerIMiss {
 		p.imissAcc -= p.cfg.InstrPerIMiss
 		p.stats.IMisses++
+		p.led.Charge(ledger.Compute, p.cfg.IMissPenalty)
 		p.task.Advance(p.cfg.IMissPenalty)
-		p.bd.Useful += p.cfg.IMissPenalty
-		p.charge(ledger.Compute, p.cfg.IMissPenalty)
 	}
 }
 
@@ -297,10 +302,7 @@ func (p *Proc) applySnoopDebt() {
 	}
 	cycles := p.snoopDebt / 2
 	p.snoopDebt %= 2
-	d := p.cfg.Clock.Cycles(cycles)
-	p.task.Advance(d)
-	p.bd.LoadStall += d
-	p.charge(ledger.LoadStall, d)
+	p.stallUntil(p.task.Time()+p.cfg.Clock.Cycles(cycles), ledger.LoadStall, "")
 	p.stats.SnoopStalls += cycles
 }
 
@@ -327,29 +329,18 @@ func (p *Proc) WaitUntil(t sim.Time) { p.waitUntil(t, ledger.SyncWait) }
 func (p *Proc) WaitUntilDMA(t sim.Time) { p.waitUntil(t, ledger.DMAWait) }
 
 func (p *Proc) waitUntil(t sim.Time, c ledger.Class) {
-	if now := p.task.Time(); t > now {
-		p.bd.Sync += t - now
-		p.charge(c, t-now)
-		p.span("sync-wait", now, t-now)
-		p.task.SetTime(t)
-	}
+	p.stallUntil(t, c, "sync-wait")
 	p.task.Sync()
 }
 
 // AddSync charges d of synchronization time without advancing the clock
 // (used when a primitive has already moved the task's clock, e.g. after
 // an Unblock).
-func (p *Proc) AddSync(d sim.Time) {
-	p.bd.Sync += d
-	p.charge(ledger.SyncWait, d)
-}
+func (p *Proc) AddSync(d sim.Time) { p.led.Charge(ledger.SyncWait, d) }
 
 // AddDMAWait is AddSync with the ledger class ledger.DMAWait (a DMA
 // completion wait whose clock movement already happened via Unblock).
-func (p *Proc) AddDMAWait(d sim.Time) {
-	p.bd.Sync += d
-	p.charge(ledger.DMAWait, d)
-}
+func (p *Proc) AddDMAWait(d sim.Time) { p.led.Charge(ledger.DMAWait, d) }
 
 // Load issues one load instruction to address a and blocks until the
 // data is available.
@@ -358,16 +349,11 @@ func (p *Proc) Load(a mem.Addr) {
 	p.applySnoopDebt()
 	p.stats.Loads++
 	done := p.memory.Load(p, a)
-	if now := p.task.Time(); done > now {
-		p.bd.LoadStall += done - now
-		if p.pfShadow {
-			p.charge(ledger.PrefetchShadow, done-now)
-		} else {
-			p.charge(ledger.LoadStall, done-now)
-		}
-		p.span("load-stall", now, done-now)
-		p.task.SetTime(done)
+	c := ledger.LoadStall
+	if p.pfShadow {
+		c = ledger.PrefetchShadow
 	}
+	p.stallUntil(done, c, "load-stall")
 	p.pfShadow = false
 }
 
@@ -393,11 +379,7 @@ func (p *Proc) store(a mem.Addr, nbytes uint64, pfs bool) {
 		p.sbLen--
 	}
 	if p.sbLen == depth {
-		oldest := p.storeBuf[p.sbHead]
-		p.bd.StoreStall += oldest - now
-		p.charge(ledger.StoreStall, oldest-now)
-		p.span("store-stall", now, oldest-now)
-		p.task.SetTime(oldest)
+		p.stallUntil(p.storeBuf[p.sbHead], ledger.StoreStall, "store-stall")
 		p.sbHead = (p.sbHead + 1) % depth
 		p.sbLen--
 	}
@@ -502,28 +484,15 @@ func elemsIn(lo, hi, base mem.Addr, elemSize uint64) uint64 {
 // memory model's drain is charged to the Sync bucket under its
 // FlushClasser class.
 func (p *Proc) Finish() {
-	now := p.task.Time()
-	for p.sbLen > 0 {
-		done := p.storeBuf[p.sbHead]
+	for ; p.sbLen > 0; p.sbLen-- {
+		p.stallUntil(p.storeBuf[p.sbHead], ledger.StoreStall, "")
 		p.sbHead = (p.sbHead + 1) % len(p.storeBuf)
-		p.sbLen--
-		if done > now {
-			p.bd.StoreStall += done - now
-			p.charge(ledger.StoreStall, done-now)
-			p.task.SetTime(done)
-			now = done
-		}
 	}
-	if d := p.memory.Flush(p); d > p.task.Time() {
-		wait := d - p.task.Time()
-		p.bd.Sync += wait
-		c := ledger.SyncWait
-		if fc, ok := p.memory.(FlushClasser); ok {
-			c = fc.FlushClass()
-		}
-		p.charge(c, wait)
-		p.task.SetTime(d)
+	c := ledger.SyncWait
+	if fc, ok := p.memory.(FlushClasser); ok {
+		c = fc.FlushClass()
 	}
+	p.stallUntil(p.memory.Flush(p), c, "")
 	p.finished = true
 	p.finishTime = p.task.Time()
 }

@@ -1,6 +1,7 @@
 // Package fault provides deterministic failure injection for the run
 // layer's robustness tests: workloads that deadlock, stall forever,
-// panic, fail verification, or fail transiently, plus deliberately
+// panic, fail verification, fail transiently, or move a core's clock
+// without charging its cycle ledger, plus deliberately
 // corrupted configurations. Every fault fires from the simulation's own
 // deterministic state (task IDs, attempt counters) — never the clock —
 // so an injected failure reproduces identically on every run.
@@ -28,6 +29,7 @@ const (
 	Panic     = "fault-panic"     // panics on every core except core 0
 	Flaky     = "fault-flaky"     // panics while the SetFlakyFailures budget lasts
 	BadVerify = "fault-badverify" // computes fine, fails verification
+	Uncharged = "fault-uncharged" // core 0 moves its clock without charging a class
 )
 
 var registerOnce sync.Once
@@ -42,6 +44,7 @@ func RegisterWorkloads() {
 		workload.Register(Panic, func(workload.Scale) core.Workload { return panicWorkload{} })
 		workload.Register(Flaky, func(workload.Scale) core.Workload { return flakyWorkload{} })
 		workload.Register(BadVerify, func(workload.Scale) core.Workload { return badVerifyWorkload{} })
+		workload.Register(Uncharged, func(workload.Scale) core.Workload { return unchargedWorkload{} })
 	})
 }
 
@@ -127,6 +130,25 @@ func (badVerifyWorkload) Run(p *cpu.Proc)        { p.Work(1000) }
 func (badVerifyWorkload) Verify() error {
 	return fmt.Errorf("fault: injected verification failure (checksum mismatch)")
 }
+
+// UnchargedGap is how far fault-uncharged moves core 0's clock without
+// charging its cycle ledger.
+const UnchargedGap = sim.Microsecond
+
+// unchargedWorkload is a charge-site bug in miniature: core 0 moves its
+// clock straight on the task, so its cycle classes fall UnchargedGap
+// short of its finish time.
+type unchargedWorkload struct{}
+
+func (unchargedWorkload) Name() string           { return Uncharged }
+func (unchargedWorkload) Setup(sys *core.System) {}
+func (unchargedWorkload) Run(p *cpu.Proc) {
+	p.Work(1000)
+	if p.ID() == 0 {
+		p.Task().Advance(UnchargedGap)
+	}
+}
+func (unchargedWorkload) Verify() error { return nil }
 
 // CorruptedConfigs returns configurations corrupted one field at a time,
 // keyed by the Config field that Validate must report. The run layer's

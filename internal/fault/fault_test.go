@@ -290,6 +290,28 @@ func TestBadVerifyNotRetried(t *testing.T) {
 	}
 }
 
+// TestUnchargedClockMoveFailsRun: every run checks that each core's
+// cycle classes sum exactly to its finish time, so a clock move that
+// charges nothing fails the run — typed, naming the core and the gap,
+// and not retried, since it fails the same way every time.
+func TestUnchargedClockMoveFailsRun(t *testing.T) {
+	r := newRunner(nil)
+	defer r.Close()
+	r.Retries = 3
+	_, err := r.Run(core.DefaultConfig(core.CC, 2), fault.Uncharged)
+	if err == nil {
+		t.Fatal("run with an uncharged clock move succeeded")
+	}
+	var ce *core.ConservationError
+	if !errors.As(err, &ce) || ce.Core != 0 || ce.Gap != -int64(fault.UnchargedGap) {
+		t.Fatalf("err = %v, want core 0 short by %d fs", err, int64(fault.UnchargedGap))
+	}
+	var jerr *bench.JobError
+	if !errors.As(err, &jerr) || jerr.Kind != bench.ErrConservation || jerr.Attempts != 1 {
+		t.Fatalf("err = %v, want a conservation job error after 1 attempt", err)
+	}
+}
+
 // TestFigureRendersWithErrCells is the graceful-degradation proof: a
 // figure whose parallel runs all fail still renders — failed cells
 // marked ERR, a summary line, and a typed GridError — instead of

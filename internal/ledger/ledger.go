@@ -4,20 +4,22 @@
 // distributions (latency.go), whose histograms the transaction
 // observer (internal/txntrace) records.
 //
-// The ledger refines the Figure 2 breakdown (cpu.Breakdown) without
-// replacing it: every site in internal/cpu that charges a breakdown
-// bucket also charges exactly one ledger class covering the same span
-// of simulated time, so the non-idle classes sum to the core's finish
-// time by construction, and — with Idle defined as wall minus finish —
-// all classes sum exactly to the run's wall time. That conservation
-// invariant is what makes stacked breakdown figures trustworthy: no
-// cycle is counted twice, none is dropped. Summary.Check enforces it
-// and the repo's property test runs it across every shipped workload.
+// The ledger is each core's one time account. Every core keeps one on
+// every run, and the Figure 2 breakdown (cpu.Breakdown) is a fold over
+// its classes: Useful is Compute, Sync is SyncWait plus DMAWait,
+// LoadStall is LoadStall plus PrefetchShadow, StoreStall is StoreStall.
+// Every site in internal/cpu that moves a core's clock charges exactly
+// one class covering the same span of simulated time, so the non-idle
+// classes sum to the core's finish time, and — with Idle defined as
+// wall minus finish — all classes sum exactly to the run's wall time.
+// That conservation invariant is what makes stacked breakdown figures
+// trustworthy: no cycle is counted twice, none is dropped. core.System
+// checks it for every core on every run; Summary.Check checks the
+// report's rows.
 //
-// Cost discipline: a Proc's ledger pointer is nil when accounting is
-// disabled, so the only cost on the disabled hot path is a nil compare
-// per charge site — the same sentinel pattern the probe layer uses for
-// its epoch check (BenchmarkLedgerDisabled gates it).
+// Cost discipline: a charge is one array add on a ledger held by value
+// in the core, with no enabled/disabled branch (BenchmarkLedgerDisabled
+// bounds it by the cost of the retired ledger-off hot path).
 package ledger
 
 import (

@@ -226,7 +226,7 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		lock: lock,
+		lock:     lock,
 		dir:      opts.Dir,
 		version:  fmt.Sprintf("%s+schema%d", opts.Version, SchemaVersion),
 		maxBytes: opts.MaxBytes,

@@ -10,10 +10,11 @@
 // imbalance and limited parallelism — emerge from the queueing
 // discipline, not the per-operation constant.
 //
-// Every clock movement here goes through cpu.AddSync (paired with the
-// matching Advance or BlockOn), which also feeds the cycle ledger's
-// SyncWait class — so lock and barrier time is fully attributed and the
-// ledger's conservation invariant holds across synchronization.
+// Every clock movement here is charged through cpu.AddSync (paired with
+// the matching Advance or BlockOn) to the cycle ledger's SyncWait class,
+// which the Figure 2 Sync bucket folds — so lock and barrier time is
+// fully attributed, and the conservation check every run makes holds
+// across synchronization.
 package syncprim
 
 import (

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	memsys "repro"
+	"repro/internal/cpu"
+	"repro/internal/ledger"
 )
 
 // TestLedgerConservation is the cycle-accounting layer's property test:
@@ -14,20 +16,33 @@ import (
 // classes — with Idle derived from wall minus finish — must sum EXACTLY
 // to the run's wall time. Any charge site that moves a core clock
 // without charging a class (or double-charges one) fails here with the
-// femtosecond discrepancy.
+// femtosecond discrepancy. It also pins which classes make up which
+// Figure 2 bucket: each core's breakdown is the fold of its classes.
+// CC with a depth-4 prefetcher runs too: it is the only machine that
+// charges prefetch_shadow.
 func TestLedgerConservation(t *testing.T) {
-	models := []memsys.Model{memsys.CC, memsys.STR, memsys.INC}
+	machines := []struct {
+		label    string
+		model    memsys.Model
+		prefetch int
+	}{
+		{"CC", memsys.CC, 0},
+		{"STR", memsys.STR, 0},
+		{"INC", memsys.INC, 0},
+		{"CC-P4", memsys.CC, 4},
+	}
 	coreCounts := []int{1, 4, 8}
 	if testing.Short() {
 		coreCounts = []int{4}
 	}
 	for _, name := range memsys.Workloads() {
-		for _, model := range models {
+		for _, m := range machines {
 			for _, cores := range coreCounts {
-				name, model, cores := name, model, cores
-				t.Run(name+"-"+model.String()+"-"+itoa(cores), func(t *testing.T) {
+				name, m, cores := name, m, cores
+				t.Run(name+"-"+m.label+"-"+itoa(cores), func(t *testing.T) {
 					t.Parallel()
-					cfg := memsys.DefaultConfig(model, cores)
+					cfg := memsys.DefaultConfig(m.model, cores)
+					cfg.PrefetchDepth = m.prefetch
 					cfg.CycleLedger = true
 					rep, err := memsys.Run(cfg, name, memsys.ScaleSmall)
 					if err != nil {
@@ -38,6 +53,11 @@ func TestLedgerConservation(t *testing.T) {
 					}
 					if err := rep.Cycles.Check(rep.Wall); err != nil {
 						t.Errorf("conservation: %v", err)
+					}
+					for i, row := range rep.Cycles.PerCore {
+						if got, want := rep.PerCore[i], foldFigure2(row); got != want {
+							t.Errorf("core %d breakdown %+v, fold of its classes %+v", i, got, want)
+						}
 					}
 					if rep.Latency == nil {
 						t.Fatalf("CycleLedger set but Report.Latency is nil")
@@ -107,6 +127,16 @@ func TestLedgerDoesNotPerturbReports(t *testing.T) {
 				t.Errorf("report differs with the ledger on:\noff: %s\non:  %s", off, on)
 			}
 		})
+	}
+}
+
+// foldFigure2 maps one core's cycle classes onto the Figure 2 buckets.
+func foldFigure2(c [ledger.NumClasses]memsys.Time) cpu.Breakdown {
+	return cpu.Breakdown{
+		Useful:     c[ledger.Compute],
+		Sync:       c[ledger.SyncWait] + c[ledger.DMAWait],
+		LoadStall:  c[ledger.LoadStall] + c[ledger.PrefetchShadow],
+		StoreStall: c[ledger.StoreStall],
 	}
 }
 

@@ -72,8 +72,10 @@ type System = core.System
 type Report = core.Report
 
 // Cycle-accounting types (internal/ledger), present on a Report when
-// Config.CycleLedger is set: CycleSummary attributes every core cycle
-// to a fixed class taxonomy (classes sum exactly to the wall time);
+// Config.CycleLedger is set: CycleSummary publishes the cycle ledger
+// every core keeps on every run, which attributes every core cycle to
+// a fixed class taxonomy (classes sum exactly to the wall time; the
+// Report's Figure 2 breakdown is folded from the same classes);
 // LatencySummary carries the memory system's service-time
 // distributions, one LatencyDist of quantiles and power-of-two buckets
 // per latency class (every TxnClass but prefetch), recorded by the

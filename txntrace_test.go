@@ -34,7 +34,7 @@ func reportBytes(t *testing.T, model memsys.Model, name string, ledger bool, arm
 // TestTxnTraceDoesNotPerturbReports is the zero-perturbation gate:
 // every shipped workload on every model must produce byte-identical
 // reports with tracing off, with sampled capture on, and with exemplar
-// capture on — with the cycle ledger off, and with it on, where the
+// capture on — with CycleLedger off, and with it on, where the
 // Latency block's histograms must not depend on whether transaction
 // trees are captured. The tracer only ever reads simulated clocks; any
 // divergence here means a hook leaked time or state into the model.
